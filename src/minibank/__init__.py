@@ -12,7 +12,6 @@ from .errors import (
     SimulationError,
 )
 from .stochastics import (
-    RateLaws,
     RateSet,
     RngStreams,
     TriangularParams,
@@ -20,7 +19,6 @@ from .stochastics import (
     keyed_threshold_draw,
     random_row_stochastic,
     sample_triangular,
-    threshold_draws,
     uniform_matrix,
 )
 from .ledger import (
@@ -37,7 +35,6 @@ from .ledger import (
 from .payments import PaymentFlows, settle_cash_payments, settle_wire_transfers
 from .bank_credit import (
     LendingBehaviour,
-    LendingPolicy,
     draw_target_ratios,
     realise_lending,
     repay_customer_loans,

@@ -144,17 +144,6 @@ def emit_ensemble_artifacts(result: EnsembleResult, out_dir,
     }
 
 
-_COMPARE_METRICS = (
-    "cumulative_customer_lending",
-    "cumulative_interbank_issued",
-    "cumulative_guarantees",
-    "terminal_equity",
-    "mean_profit",
-    "guarantee_positive_share",
-    "first_guarantee_period",
-)
-
-
 def emit_compare_summary(compare: CompareResult, out_dir) -> Path:
     """Write the per-phi metric means of a shared-shock sweep."""
     out = Path(out_dir)
@@ -162,18 +151,18 @@ def emit_compare_summary(compare: CompareResult, out_dir) -> Path:
     rows = []
     for phi in compare.phis:
         metrics = compare.results[phi].metrics
-        rows.append((phi,) + tuple(float(np.mean(metrics[name])) for name in _COMPARE_METRICS))
-    return _write_csv(out / "compare_summary.csv", ("phi",) + _COMPARE_METRICS, rows)
+        rows.append((phi,) + tuple(float(np.mean(metrics[name])) for name in METRIC_KEYS))
+    return _write_csv(out / "compare_summary.csv", ("phi",) + METRIC_KEYS, rows)
 
 
 def format_compare_table(compare: CompareResult) -> str:
     """Plain-text summary of a phi sweep, for the command line."""
     lines = [f"phi sweep over {compare.n_seeds} shared-shock seeds"]
-    header = f"{'phi':>6}" + "".join(f"{name:>28}" for name in _COMPARE_METRICS)
+    header = f"{'phi':>6}" + "".join(f"{name:>28}" for name in METRIC_KEYS)
     lines.append(header)
     for phi in compare.phis:
         metrics = compare.results[phi].metrics
-        cells = "".join(f"{float(np.mean(metrics[name])):>28.6g}" for name in _COMPARE_METRICS)
+        cells = "".join(f"{float(np.mean(metrics[name])):>28.6g}" for name in METRIC_KEYS)
         lines.append(f"{phi:>6.2f}{cells}")
     for metric, direction in (("cumulative_customer_lending", True),
                               ("cumulative_interbank_issued", True),

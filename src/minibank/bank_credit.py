@@ -9,14 +9,17 @@ reserves held in excess of a target ratio of deposits (fractional reserve).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError
-from .ledger import BankBalanceSheets, CustomerBook, ReserveBase, sum_reserve
-from .stochastics import TriangularParams, sample_triangular
+from .errors import ConsistencyError
+from .ledger import BankBalanceSheets, CustomerBook, sum_reserve
+from .stochastics import sample_triangular
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 class LendingBehaviour(Enum):
@@ -24,45 +27,25 @@ class LendingBehaviour(Enum):
     FRACTIONAL_RESERVE = "fractional_reserve"
 
 
-@dataclass(frozen=True)
-class LendingPolicy:
-    """Everything a bank's credit department needs for one scenario."""
-
-    behaviour: LendingBehaviour
-    reserve_base: ReserveBase
-    gamma_rr: float                   # regulatory floor of the target reserve ratio
-    gamma_tr_noise: TriangularParams  # nonnegative noise added to the floor each period
-    repayment: TriangularParams       # per-bank loan repayment ratio law
-    absorption: TriangularParams      # share of target lending the economy absorbs
-    relax_target_base: bool = False   # target against l1 + l2 only, freeing interbank credit
-
-    def __post_init__(self):
-        if not 0 < self.gamma_rr <= 1:
-            raise ConfigError("gamma_RR: must lie in (0, 1]")
-        if self.gamma_tr_noise.lower < 0:
-            raise ConfigError("gamma_TR_noise: must be nonnegative")
-        for name, law in (("psi", self.repayment), ("theta", self.absorption)):
-            if law.lower < 0 or law.upper > 1:
-                raise ConfigError(f"{name}: ratio law must stay within [0, 1]")
-
-
-def draw_target_ratios(policy: LendingPolicy, n_banks: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-bank target reserve ratio for one period: the floor plus noise."""
-    noise = sample_triangular(policy.gamma_tr_noise, rng, n_banks)
-    return policy.gamma_rr + noise
+def draw_target_ratios(config: ScenarioConfig, n_banks: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-bank target reserve ratio for one period: the regulatory floor
+    ``gamma_RR`` plus nonnegative noise drawn from ``gamma_TR_noise``."""
+    noise = sample_triangular(config.gamma_TR_noise, rng, n_banks)
+    return config.gamma_RR + noise
 
 
 def repay_customer_loans(banks: BankBalanceSheets, book: CustomerBook,
-                         policy: LendingPolicy, rng: np.random.Generator) -> np.ndarray:
+                         config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Retire a random fraction of each bank's loan deposits against its
     retail loan book.
 
-    The drawn ratio applies to the deposit stock; repayment is capped by
-    the bank's own outstanding loans, which matters once wire inflows have
-    pushed a bank's loan deposits past the loans it originated itself.
-    Customer balances shrink pro rata.  Returns the per-bank repaid amount.
+    The ratio is drawn per bank from ``psi`` and applies to the deposit
+    stock; repayment is capped by the bank's own outstanding loans, which
+    matters once wire inflows have pushed a bank's loan deposits past the
+    loans it originated itself.  Customer balances shrink pro rata.
+    Returns the per-bank repaid amount.
     """
-    ratios = sample_triangular(policy.repayment, rng, banks.n_banks)
+    ratios = sample_triangular(config.psi, rng, banks.n_banks)
     repaid = np.minimum(ratios * banks.l2, banks.a2)
     np.maximum(repaid, 0.0, out=repaid)
     if not repaid.any():
@@ -76,18 +59,21 @@ def repay_customer_loans(banks: BankBalanceSheets, book: CustomerBook,
     return repaid
 
 
-def target_lending(banks: BankBalanceSheets, policy: LendingPolicy, target_ratio) -> np.ndarray:
+def target_lending(banks: BankBalanceSheets, config: ScenarioConfig, target_ratio) -> np.ndarray:
     """Per-bank lending target, computed from one common pre-lending snapshot.
 
-    Money multiplication targets total deposits of reserves / ratio; the
-    fractional-reserve rule lends out reserves above ratio * deposits.
-    Both floor at zero: banks do not call loans to correct an overshoot.
+    With ``behaviour`` money multiplication, banks target total deposits
+    of reserves / ratio; with fractional reserve they lend out reserves
+    above ratio * deposits.  Reserves are counted under ``reserve_base``;
+    deposits include interbank borrowing unless ``relax_target_base``.
+    Both rules floor at zero: banks do not call loans to correct an
+    overshoot.
     """
-    base = sum_reserve(banks, policy.reserve_base)
+    base = sum_reserve(banks, config.reserve_base)
     dep = banks.l1 + banks.l2
-    if not policy.relax_target_base:
+    if not config.relax_target_base:
         dep = dep + banks.l3
-    if policy.behaviour is LendingBehaviour.MONEY_MULTIPLICATION:
+    if config.behaviour is LendingBehaviour.MONEY_MULTIPLICATION:
         potential = base / target_ratio - dep
     else:
         potential = base - target_ratio * dep
@@ -95,13 +81,14 @@ def target_lending(banks: BankBalanceSheets, policy: LendingPolicy, target_ratio
 
 
 def realise_lending(banks: BankBalanceSheets, book: CustomerBook, potential: np.ndarray,
-                    policy: LendingPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Grant the absorbed share of each bank's lending target.
+                    config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Grant the absorbed share of each bank's lending target, drawn per
+    bank from ``theta``.
 
     Retail loans and loan deposits grow together; the new deposits are
     split equally across the bank's customers.  Returns per-bank amounts.
     """
-    share = sample_triangular(policy.absorption, rng, banks.n_banks)
+    share = sample_triangular(config.theta, rng, banks.n_banks)
     actual = share * potential
     if not actual.any():
         return np.zeros(banks.n_banks)

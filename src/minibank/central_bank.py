@@ -16,28 +16,27 @@ from .ledger import BankBalanceSheets
 
 
 def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
-                     expected: np.ndarray | None = None, rtol: float = 1e-9) -> np.ndarray:
+                     expected: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Grant each bank a guarantee equal to its unmet reserve need.
 
     Shortfalls below the identity tolerance at the bank's balance-sheet
     scale are rounding dust from the allocation arithmetic, not real
-    exposure, and are not guaranteed.  When ``expected`` is given (target
-    reserve minus the post-pooling holding) the two measures of the
-    shortfall are cross-checked first: the guarantee must complete the
-    reserve level to exactly the target.  Returns per-bank granted amounts.
+    exposure, and are not guaranteed.  The unmet need is first
+    cross-checked against ``expected`` (target reserve minus the
+    post-pooling holding): the guarantee must complete the reserve level
+    to exactly the target.  Returns per-bank granted amounts.
     """
     scale = np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
     raw = np.maximum(np.asarray(unmet, dtype=float), 0.0)
     grant = np.where(raw > rtol * scale, raw, 0.0)
-    if expected is not None:
-        wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)
-        gap = np.abs(raw - wanted)
-        if np.any(gap > rtol * scale):
-            bank = int(np.argmax(gap / scale))
-            raise ConsistencyError(
-                f"guarantee does not close the reserve gap at bank {bank}: "
-                f"granting {raw[bank]:.6g}, target shortfall {wanted[bank]:.6g}"
-            )
+    wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)
+    gap = np.abs(raw - wanted)
+    if np.any(gap > rtol * scale):
+        bank = int(np.argmax(gap / scale))
+        raise ConsistencyError(
+            f"guarantee does not close the reserve gap at bank {bank}: "
+            f"granting {raw[bank]:.6g}, target shortfall {wanted[bank]:.6g}"
+        )
     banks.a5 = banks.a5 + grant
     banks.l5 = banks.l5 + grant
     return grant

@@ -12,11 +12,11 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bank_credit import LendingBehaviour, LendingPolicy
+from .bank_credit import LendingBehaviour
 from .errors import ConfigError
 from .interbank import MatchingMode
 from .ledger import ReserveBase
-from .stochastics import RateLaws, TriangularParams
+from .stochastics import TriangularParams
 
 
 def _tri(lower: float, peak: float, upper: float) -> TriangularParams:
@@ -100,27 +100,6 @@ class ScenarioConfig:
             if self.lam is None or not self.lam > 0:
                 bad("lambda", "endogenous matching needs lambda > 0")
         return self
-
-    def lending_policy(self) -> LendingPolicy:
-        return LendingPolicy(
-            behaviour=self.behaviour,
-            reserve_base=self.reserve_base,
-            gamma_rr=self.gamma_RR,
-            gamma_tr_noise=self.gamma_TR_noise,
-            repayment=self.psi,
-            absorption=self.theta,
-            relax_target_base=self.relax_target_base,
-        )
-
-    def rate_laws(self) -> RateLaws:
-        return RateLaws(
-            r_a1=self.r_A1,
-            r_a2=self.r_A2,
-            r_interbank=self.r_interbank,
-            r_l1=self.r_L1,
-            r_l2=self.r_L2,
-            l5_spread=self.l5_spread,
-        )
 
 
 # Benchmark scenarios use constant rates; the baseline calibration draws them.

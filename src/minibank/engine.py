@@ -79,10 +79,14 @@ def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
 
 
-def _check_state(state: SimulationState, tol: float, where: str) -> None:
+def _check_state(state: SimulationState, config: ScenarioConfig, tol: float, where: str) -> None:
+    """Per-bank identities, currency conservation and ledger consistency."""
     report = check_identities(state.banks, state.book, tol)
     if not report.ok:
         raise IdentityError(f"{where}: {report.worst()}")
+    drift = abs(float(state.banks.a1.sum()) - config.A1_0)
+    if drift > tol * config.A1_0:
+        raise IdentityError(f"{where}: currency drift {drift / config.A1_0:.3e} of A1_0")
     state.loans.check_consistency(state.banks, tol)
 
 
@@ -100,24 +104,23 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
                check: str = "period", tol: float = 1e-9) -> PeriodRecord:
     """Advance the state by one period and return its record.
 
-    ``check`` controls how often the identity and ledger checks run:
+    ``check`` controls how often the identity, currency and ledger checks run:
     "phase" after every phase, "period" once at the period end, "off" never.
     """
     t = state.period + 1
     banks, book, loans = state.banks, state.book, state.loans
-    policy = config.lending_policy()
     per_phase = check == "phase"
 
     def checkpoint(phase: str) -> None:
         if per_phase:
-            _check_state(state, tol, f"period {t}, after {phase}")
+            _check_state(state, config, tol, f"period {t}, after {phase}")
 
     remove_guarantees(banks)
     if banks.a5.any() or banks.l5.any():
         raise IdentityError(f"period {t}: guarantees survived removal")
     checkpoint("remove_guarantees")
 
-    target_ratio = draw_target_ratios(policy, config.B, streams.stream("target_ratio", t))
+    target_ratio = draw_target_ratios(config, config.B, streams.stream("target_ratio", t))
 
     flows = _period_flows(config, streams, t)
     cash_stats = settle_cash_payments(banks, book, flows)
@@ -125,10 +128,10 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
     wire_stats = settle_wire_transfers(banks, book, flows, loans, config.reserve_base, t)
     checkpoint("settle_wire_transfers")
 
-    repaid = repay_customer_loans(banks, book, policy, streams.stream("repayment_ratio", t))
+    repaid = repay_customer_loans(banks, book, config, streams.stream("repayment_ratio", t))
     checkpoint("repay_customer_loans")
-    potential = target_lending(banks, policy, target_ratio)
-    lent = realise_lending(banks, book, potential, policy, streams.stream("absorption", t))
+    potential = target_lending(banks, config, target_ratio)
+    lent = realise_lending(banks, book, potential, config, streams.stream("absorption", t))
     checkpoint("realise_lending")
 
     ib_stats = repay_interbank_loans(banks, loans, config.omega, config.reserve_base, t,
@@ -147,13 +150,13 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
     grants = grant_guarantees(banks, unmet, expected=expected)
     checkpoint("grant_guarantees")
 
-    rates = draw_period_rates(config.B, config.rate_laws(), streams.stream("rates", t))
+    rates = draw_period_rates(config.B, config, streams.stream("rates", t))
     profit = accrue_equity(banks, rates)
     checkpoint("accrue_equity")
 
     state.period = t
     if check == "period":
-        _check_state(state, tol, f"period {t}")
+        _check_state(state, config, tol, f"period {t}")
 
     stats = {
         "new_customer_lending": float(lent.sum()),
@@ -233,7 +236,7 @@ def run_scenario(config: ScenarioConfig, check: str = "period", tol: float = 1e-
     streams = RngStreams(config.seed)
     state = init_state(config, streams)
     if check != "off":
-        _check_state(state, tol, "initial state")
+        _check_state(state, config, tol, "initial state")
     initial = state.banks.snapshot()
     records = [run_period(state, config, streams, check=check, tol=tol)
                for _ in range(config.T)]
@@ -375,8 +378,8 @@ def validate_run(config: ScenarioConfig, tol: float = 1e-9) -> list[tuple[str, b
     try:
         trace = run_scenario(config, check="phase", tol=tol)
     except SimulationError as exc:
-        return [("per-phase identity and ledger checks", False, str(exc))]
-    rows.append(("per-phase identity and ledger checks", True,
+        return [("per-phase identity, currency and ledger checks", False, str(exc))]
+    rows.append(("per-phase identity, currency and ledger checks", True,
                  f"all {config.T} periods within {tol:g}"))
 
     agg = trace.aggregates
@@ -385,9 +388,6 @@ def validate_run(config: ScenarioConfig, tol: float = 1e-9) -> list[tuple[str, b
         rows.append((name, bool(residual <= bound), detail))
 
     if trace.n_periods:
-        a1_drift = float(np.abs(agg["a1"] - config.A1_0).max()) / config.A1_0
-        series_check("currency conservation", a1_drift, tol,
-                     f"max relative drift {a1_drift:.3e}")
         scale = np.maximum(1.0, agg["a3"])
         dual = float((np.abs(agg["a3"] - agg["l3"]) / scale).max())
         series_check("interbank duality", dual, tol, f"max relative gap {dual:.3e}")

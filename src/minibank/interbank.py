@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, LedgerError
+from .errors import LedgerError
 from .ledger import BankBalanceSheets, ReserveBase, reserve_weights, sum_reserve
 from .stochastics import keyed_threshold_draw, uniform_matrix
 
@@ -268,9 +268,7 @@ class PoolingState:
     target_reserve: np.ndarray  # target ratio times deposits
     weights: np.ndarray         # (B, 3) lender transfer profile
     potential: np.ndarray       # (B, B) bool, lender rows x borrower columns
-    selection: np.ndarray       # (B, B) match scores, zero outside potential pairs
     actual: np.ndarray          # (B, B) bool, the pairs that will trade
-    phi: float
 
 
 def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ratio,
@@ -309,10 +307,6 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
     if matching is MatchingMode.EXOGENOUS:
         scores = 1.0 - uniform_matrix(B, B, rng)
     else:
-        if alpha is None or not alpha > 0:
-            raise ConfigError("alpha: endogenous matching needs alpha > 0")
-        if lam is None or not lam > 0:
-            raise ConfigError("lambda: endogenous matching needs lambda > 0")
         liabilities = banks.l1 + banks.l2 + banks.l3 + banks.l5
         equity_ratio = np.divide(banks.l4, liabilities, out=np.zeros(B), where=liabilities > 0)
         np.maximum(equity_ratio, 0.0, out=equity_ratio)
@@ -322,7 +316,6 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
         distance = lender_term[:, None] + alpha * np.power(exposure, alpha)[None, :]
         scores = lam * np.exp(-lam * distance)
 
-    scores = np.where(potential, scores, 0.0)
     actual = potential & (scores > phi)
     return PoolingState(
         base=base,
@@ -332,9 +325,7 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
         target_reserve=target,
         weights=reserve_weights(banks, base),
         potential=potential,
-        selection=scores,
         actual=actual,
-        phi=float(phi),
     )
 
 

@@ -68,9 +68,6 @@ class BankBalanceSheets:
     def n_banks(self) -> int:
         return self.a1.shape[0]
 
-    def item(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def deposits(self) -> np.ndarray:
         return self.l1 + self.l2 + self.l3
 
@@ -108,9 +105,6 @@ class CustomerBook:
     def bank_l2(self) -> np.ndarray:
         return np.bincount(self.assignment, weights=self.l2, minlength=self.n_banks)
 
-    def copy(self) -> "CustomerBook":
-        return CustomerBook(self.assignment.copy(), self.l1.copy(), self.l2.copy(), self.n_banks)
-
 
 def initialise(config, rng: np.random.Generator, assignment=None):
     """Set up the opening state: equal customer cash endowments deposited at
@@ -121,15 +115,6 @@ def initialise(config, rng: np.random.Generator, assignment=None):
     bank uniformly from ``rng``.
     """
     B, C = config.B, config.C
-    if B < 2:
-        raise ConfigError("B: need at least two banks")
-    if C < B:
-        raise ConfigError("C: need at least as many customers as banks")
-    if not config.A1_0 > 0:
-        raise ConfigError("A1_0: total base money must be positive")
-    if not config.A4_0 > 0:
-        raise ConfigError("A4_0: total bank capital must be positive")
-
     if assignment is None:
         assignment = rng.integers(0, B, size=C)
     assignment = np.asarray(assignment, dtype=np.int64)

@@ -12,10 +12,14 @@ interbank decisions get taken along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 # Label order is part of the determinism contract: append only.
 STREAM_LABELS = (
@@ -106,10 +110,6 @@ class TriangularParams:
         return cls(value, value, value)
 
     @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
-    @property
     def mean(self) -> float:
         return (self.lower + self.peak + self.upper) / 3.0
 
@@ -146,27 +146,6 @@ def uniform_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random((n, m))
 
 
-def threshold_draws(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform draws on (0, 1].
-
-    Meant for trigger rules of the form ``draw > threshold``: a threshold of
-    zero always fires and a threshold of one never does, exactly.
-    """
-    return 1.0 - rng.random(n)
-
-
-@dataclass(frozen=True)
-class RateLaws:
-    """Per-period distributions of the fee and interest rates of reference."""
-
-    r_a1: TriangularParams
-    r_a2: TriangularParams
-    r_interbank: TriangularParams  # one system-wide rate serves both sides of interbank stocks
-    r_l1: TriangularParams
-    r_l2: TriangularParams
-    l5_spread: float = 0.03
-
-
 @dataclass(frozen=True)
 class RateSet:
     """One period's rates, applied to end-of-period stocks by the equity accrual."""
@@ -180,19 +159,20 @@ class RateSet:
     r_l5: float
 
 
-def draw_period_rates(n_banks: int, laws: RateLaws, rng: np.random.Generator) -> RateSet:
-    """Draw one period's rates.
+def draw_period_rates(n_banks: int, config: ScenarioConfig, rng: np.random.Generator) -> RateSet:
+    """Draw one period's rates from the laws ``r_A1``, ``r_A2``, ``r_L1``,
+    ``r_L2`` and ``r_interbank``.
 
     Deposit and retail-loan rates are drawn per bank.  A single interbank
     rate per period serves both the lending and the borrowing side, so the
     two legs of every interbank position accrue at the same rate; the
-    guarantee fee sits a fixed punitive spread above it.
+    guarantee fee sits the fixed punitive spread ``l5_spread`` above it.
     """
-    r_a1 = sample_triangular(laws.r_a1, rng, n_banks)
-    r_a2 = sample_triangular(laws.r_a2, rng, n_banks)
-    r_l1 = sample_triangular(laws.r_l1, rng, n_banks)
-    r_l2 = sample_triangular(laws.r_l2, rng, n_banks)
-    r_ib = float(sample_triangular(laws.r_interbank, rng))
+    r_a1 = sample_triangular(config.r_A1, rng, n_banks)
+    r_a2 = sample_triangular(config.r_A2, rng, n_banks)
+    r_l1 = sample_triangular(config.r_L1, rng, n_banks)
+    r_l2 = sample_triangular(config.r_L2, rng, n_banks)
+    r_ib = float(sample_triangular(config.r_interbank, rng))
     return RateSet(
         r_a1=np.asarray(r_a1, dtype=float),
         r_a2=np.asarray(r_a2, dtype=float),
@@ -200,5 +180,5 @@ def draw_period_rates(n_banks: int, laws: RateLaws, rng: np.random.Generator) ->
         r_l1=np.asarray(r_l1, dtype=float),
         r_l2=np.asarray(r_l2, dtype=float),
         r_l3=r_ib,
-        r_l5=r_ib + laws.l5_spread,
+        r_l5=r_ib + config.l5_spread,
     )

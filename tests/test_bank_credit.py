@@ -4,7 +4,6 @@ import pytest
 from minibank import (
     ConfigError,
     LendingBehaviour,
-    LendingPolicy,
     ReserveBase,
     RngStreams,
     ScenarioConfig,
@@ -23,15 +22,16 @@ POINT = TriangularParams.point
 
 def _policy(behaviour=LendingBehaviour.FRACTIONAL_RESERVE, base=ReserveBase.NARROW,
             psi=0.0, theta=0.0, relax=False):
-    return LendingPolicy(
+    return ScenarioConfig(
+        seed=1,
         behaviour=behaviour,
         reserve_base=base,
-        gamma_rr=0.1,
-        gamma_tr_noise=POINT(0.0),
-        repayment=POINT(psi),
-        absorption=POINT(theta),
+        gamma_RR=0.1,
+        gamma_TR_noise=POINT(0.0),
+        psi=POINT(psi),
+        theta=POINT(theta),
         relax_target_base=relax,
-    )
+    ).validate()
 
 
 def _rng(seed=1):
@@ -41,17 +41,15 @@ def _rng(seed=1):
 class TestPolicyValidation:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ConfigError):
-            LendingPolicy(LendingBehaviour.FRACTIONAL_RESERVE, ReserveBase.NARROW,
-                          0.0, POINT(0.0), POINT(0.0), POINT(0.0))
+            ScenarioConfig(seed=1, gamma_RR=0.0).validate()
 
     def test_ratio_laws_must_stay_in_unit_interval(self):
         with pytest.raises(ConfigError):
             _policy(psi=1.5)
 
     def test_target_ratio_with_noise(self):
-        policy = LendingPolicy(LendingBehaviour.FRACTIONAL_RESERVE, ReserveBase.NARROW,
-                               0.1, POINT(0.02), POINT(0.0), POINT(0.0))
-        assert np.all(draw_target_ratios(policy, 4, _rng()) == pytest.approx(0.12))
+        config = ScenarioConfig(seed=1, gamma_RR=0.1, gamma_TR_noise=POINT(0.02))
+        assert np.all(draw_target_ratios(config, 4, _rng()) == pytest.approx(0.12))
 
 
 class TestRepayment:

@@ -18,7 +18,7 @@ def _banks():
 
 def test_no_unmet_need_no_guarantees():
     banks = _banks()
-    granted = grant_guarantees(banks, np.zeros(3))
+    granted = grant_guarantees(banks, np.zeros(3), expected=np.zeros(3))
     assert np.all(granted == 0.0)
     assert np.all(banks.l5 == 0.0)
 
@@ -36,7 +36,7 @@ def test_guarantee_completes_reserves_to_target():
 def test_guarantee_is_non_cash():
     banks = _banks()
     core_before = banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)
-    grant_guarantees(banks, np.array([30.0, 0.0, 0.0]))
+    grant_guarantees(banks, np.array([30.0, 0.0, 0.0]), expected=np.array([30.0, 0.0, 0.0]))
     core_after = banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)
     assert np.array_equal(core_before, core_after)
     assert np.array_equal(banks.a5, banks.l5)
@@ -51,13 +51,14 @@ def test_mismatched_target_shortfall_rejected():
 
 def test_rounding_dust_not_guaranteed():
     banks = _banks()
-    granted = grant_guarantees(banks, np.array([1e-9, 0.0, 0.0]))
+    granted = grant_guarantees(banks, np.array([1e-9, 0.0, 0.0]),
+                               expected=np.array([1e-9, 0.0, 0.0]))
     assert np.all(granted == 0.0)
 
 
 def test_removal_resets_both_items():
     banks = _banks()
-    grant_guarantees(banks, np.array([30.0, 0.0, 12.0]))
+    grant_guarantees(banks, np.array([30.0, 0.0, 12.0]), expected=np.array([30.0, 0.0, 12.0]))
     removed = remove_guarantees(banks)
     assert removed[0] == pytest.approx(30.0)
     assert np.all(banks.a5 == 0.0)

@@ -94,15 +94,23 @@ class TestKeyValueFormat:
 
     @pytest.mark.parametrize("key,value", [
         ("gamma_RR", "0"),          # lending targets divide by the ratio
+        ("gamma_TR_noise", "-0.01"),
         ("phi", "1.5"),
         ("omega", "-0.1"),
         ("theta", "0.5, 0.2, 1"),   # ordering violated
+        ("psi", "0, 0.5, 1.5"),     # a repayment ratio above one
         ("B", "1"),
+        ("C", "5"),                 # fewer customers than the default ten banks
         ("T", "-3"),
+        ("A1_0", "0"),
+        ("A4_0", "-1"),
+        ("matching", "endogenous"),  # without alpha
+        ("lambda", "0"),             # under endogenous matching with alpha = 1
     ])
     def test_out_of_range_values(self, key, value):
+        endogenous = [("matching", "endogenous"), ("alpha", "1")] if key == "lambda" else []
         with pytest.raises(ConfigError):
-            config_from_pairs([("seed", "1"), (key, value)])
+            config_from_pairs([("seed", "1"), *endogenous, (key, value)])
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# scenario\n\nseed = 9\nphi = 0.4\n"

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from minibank import (
+    IdentityError,
+    RngStreams,
     ScenarioConfig,
     TriangularParams,
     compare_phis,
     derive_seeds,
     get_preset,
+    init_state,
     run_ensemble,
+    run_period,
     run_scenario,
     trace_metrics,
     validate_run,
@@ -79,6 +83,20 @@ class TestRunScenario:
 
     def test_phase_checks_accept_a_clean_run(self):
         run_scenario(_small(seed=11), check="phase")
+
+    def test_phase_checks_catch_created_currency(self):
+        # currency and deposits grow together at one bank and its customer,
+        # so every per-bank identity still holds; only conservation fails
+        config = _small(seed=12)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        bank = state.book.assignment[0]
+        extra = 1e-6 * config.A1_0
+        state.banks.a1[bank] += extra
+        state.banks.l1[bank] += extra
+        state.book.l1[0] += extra
+        with pytest.raises(IdentityError, match="currency"):
+            run_period(state, config, streams, check="phase")
 
 
 class TestSharedShocks:

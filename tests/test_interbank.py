@@ -5,7 +5,6 @@ import pytest
 
 from minibank import (
     BankBalanceSheets,
-    ConfigError,
     InterbankLoanLedger,
     LedgerError,
     LoanKind,
@@ -185,14 +184,6 @@ class TestPoolingState:
         state = compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 1.0,
                                       MatchingMode.EXOGENOUS, _match_rng())
         assert not state.actual.any()
-
-    def test_endogenous_needs_positive_parameters(self):
-        with pytest.raises(ConfigError):
-            compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 0.0,
-                                  MatchingMode.ENDOGENOUS, _match_rng())
-        with pytest.raises(ConfigError):
-            compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 0.0,
-                                  MatchingMode.ENDOGENOUS, _match_rng(), alpha=1.0, lam=0.0)
 
     def test_zero_equity_lender_never_selected(self):
         banks = _pooling_sheet()

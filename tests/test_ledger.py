@@ -11,6 +11,7 @@ from minibank import (
     check_identities,
     initialise,
     reserve_weights,
+    run_scenario,
     sum_reserve,
 )
 
@@ -47,9 +48,9 @@ class TestInitialise:
     @pytest.mark.parametrize("bad", [dict(B=1), dict(B=10, C=5),
                                      dict(A1_0=0.0), dict(A4_0=-1.0)])
     def test_invalid_config_rejected(self, bad):
-        config = ScenarioConfig(seed=1, **bad)
+        # initialise trusts a validated config; run_scenario validates first
         with pytest.raises(ConfigError):
-            initialise(config, RngStreams(1).stream("assignment", 0))
+            run_scenario(ScenarioConfig(seed=1, **bad))
 
     def test_assignment_reproducible(self):
         _, book_a = _init(seed=9)

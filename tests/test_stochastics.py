@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from minibank import (
     ConfigError,
-    RateLaws,
     RngStreams,
+    ScenarioConfig,
     TriangularParams,
     draw_period_rates,
     keyed_threshold_draw,
     random_row_stochastic,
     sample_triangular,
-    threshold_draws,
     uniform_matrix,
 )
 
@@ -93,12 +92,6 @@ class TestUniformMatrix:
         assert uniform_matrix(1000, 1000, _rng(7)).max() <= 1.0
 
 
-def test_threshold_draws_support():
-    draws = threshold_draws(100_000, _rng(8))
-    assert draws.min() > 0.0
-    assert draws.max() <= 1.0
-
-
 class TestKeyedDraws:
     def test_deterministic(self):
         assert keyed_threshold_draw(123, 4, 5, 6) == keyed_threshold_draw(123, 4, 5, 6)
@@ -114,23 +107,27 @@ class TestKeyedDraws:
         assert abs(draws.mean() - 0.5) < 0.005
 
 
-BASELINE_LAWS = RateLaws(
-    r_a1=TriangularParams(0.005, 0.01, 0.015),
-    r_a2=TriangularParams(0.02, 0.03, 0.04),
+BASELINE_LAWS = ScenarioConfig(
+    seed=1,
+    r_A1=TriangularParams(0.005, 0.01, 0.015),
+    r_A2=TriangularParams(0.02, 0.03, 0.04),
     r_interbank=TriangularParams(0.005, 0.015, 0.025),
-    r_l1=TriangularParams(0.005, 0.01, 0.015),
-    r_l2=TriangularParams(0.005, 0.01, 0.015),
+    r_L1=TriangularParams(0.005, 0.01, 0.015),
+    r_L2=TriangularParams(0.005, 0.01, 0.015),
+    l5_spread=0.03,
 )
 
 
 class TestRates:
     def test_guarantee_fee_spread(self):
-        laws = RateLaws(
-            r_a1=TriangularParams.point(0.01),
-            r_a2=TriangularParams.point(0.03),
+        laws = ScenarioConfig(
+            seed=1,
+            r_A1=TriangularParams.point(0.01),
+            r_A2=TriangularParams.point(0.03),
             r_interbank=TriangularParams.point(0.015),
-            r_l1=TriangularParams.point(0.01),
-            r_l2=TriangularParams.point(0.01),
+            r_L1=TriangularParams.point(0.01),
+            r_L2=TriangularParams.point(0.01),
+            l5_spread=0.03,
         )
         rates = draw_period_rates(10, laws, _rng())
         assert rates.r_l3 == 0.015
