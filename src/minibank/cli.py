@@ -21,7 +21,7 @@ from .config import (
     parse_config_text,
     preset_names,
 )
-from .engine import compare_phis, run_ensemble, run_scenario, validate_run
+from .engine import compare_phis, run_ensemble, run_scenario, trace_metrics, validate_run
 from .errors import SimulationError
 
 
@@ -55,11 +55,10 @@ def _cmd_run(args) -> int:
     trace = run_scenario(config, check=args.check)
     elapsed = time.perf_counter() - start
     paths = emit_trace_artifacts(trace, args.out, figure=args.figure, wall_time=elapsed)
-    agg = trace.aggregates
-    terminal_money = float(agg["money_total"][-1]) if trace.n_periods else float(trace.initial[:, 5].sum())
+    metrics = trace_metrics(trace)
     print(f"ran {trace.n_periods} periods in {elapsed:.2f}s "
-          f"(terminal money {terminal_money:.6g}, "
-          f"cumulative guarantees {float(agg['guarantees_granted'].sum()):.6g})")
+          f"(terminal money {metrics['terminal_money']:.6g}, "
+          f"cumulative guarantees {metrics['cumulative_guarantees']:.6g})")
     for name, path in paths.items():
         print(f"  {name}: {path}")
     return 0

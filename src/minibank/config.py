@@ -193,7 +193,6 @@ def get_preset(name: str, seed: int, **overrides) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 _KEY_TO_ATTR = {"lambda": "lam"}
-_ATTR_TO_KEY = {attr: key for key, attr in _KEY_TO_ATTR.items()}
 
 KEY_ORDER = (
     "preset", "seed", "T", "B", "C", "A1_0", "A4_0",

@@ -12,7 +12,7 @@ up holding on itself cancelled outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -21,13 +21,13 @@ from .ledger import BankBalanceSheets, ReserveBase, reserve_weights, sum_reserve
 from .stochastics import keyed_threshold_draw, uniform_matrix
 
 
-class LoanKind(Enum):
-    WIRE = "wire"          # created by netting wire-transfer payments
-    POOLED = "pooled"      # created by the reserve pooling system
-    ROLLOVER = "rollover"  # refinancing of a repayment the borrower could not fund
+class LoanKind(IntEnum):
+    """The code is a loan's place in the canonical order and a field of
+    its repayment draw's key."""
 
-
-_KIND_ORDER = {LoanKind.WIRE: 0, LoanKind.POOLED: 1, LoanKind.ROLLOVER: 2}
+    WIRE = 0      # created by netting wire-transfer payments
+    POOLED = 1    # created by the reserve pooling system
+    ROLLOVER = 2  # refinancing of a repayment the borrower could not fund
 
 
 class MatchingMode(Enum):
@@ -38,17 +38,21 @@ class MatchingMode(Enum):
 class InterbankLoanLedger:
     """Sparse record of outstanding interbank loans.
 
-    Positions are keyed (lender, borrower, issue period, kind) and carry the
-    borrower's reserve-component weights snapshotted when the position was
-    created; repayments settle against that snapshot.  Positions that share
-    a key merge, which keeps the ledger size bounded no matter how often
-    claims get reassigned between creditors.
+    Positions are keyed (issue period, lender, borrower, kind), so the keys'
+    natural order is the canonical order every mutation pass iterates in.
+    An issuance (issue period, borrower, kind) carries the borrower's
+    reserve-component weights snapshotted when it was created; repayments
+    settle against that snapshot, and it is freed when the last position of
+    its issuance closes.  Positions that share a key merge, which keeps the
+    ledger size bounded no matter how often claims get reassigned between
+    creditors.
     """
 
     def __init__(self, n_banks: int):
         self.n_banks = n_banks
         self._amounts: dict[tuple[int, int, int, LoanKind], float] = {}
         self._weights: dict[tuple[int, int, LoanKind], np.ndarray] = {}
+        self._live: dict[tuple[int, int, LoanKind], int] = {}  # open positions per issuance
         self._by_lender: list[set] = [set() for _ in range(n_banks)]
 
     def __len__(self) -> int:
@@ -60,64 +64,57 @@ class InterbankLoanLedger:
             return
         if lender == borrower:
             raise LedgerError("a bank cannot lend to itself")
-        key = (int(lender), int(borrower), int(period), kind)
-        wkey = key[1:]
+        key = (int(period), int(lender), int(borrower), kind)
+        issue = (key[0], key[2], kind)
         w = np.asarray(weights, dtype=float)
-        existing = self._weights.get(wkey)
+        existing = self._weights.get(issue)
         if existing is None:
-            self._weights[wkey] = w.copy()
+            self._weights[issue] = w.copy()
         elif not np.array_equal(existing, w):
-            raise LedgerError(f"conflicting weight snapshots for issuance {wkey}")
-        self._amounts[key] = self._amounts.get(key, 0.0) + float(amount)
-        self._by_lender[key[0]].add(key)
+            raise LedgerError(f"conflicting weight snapshots for issuance {issue}")
+        if key in self._amounts:
+            self._amounts[key] += float(amount)
+        else:
+            self._amounts[key] = float(amount)
+            self._live[issue] = self._live.get(issue, 0) + 1
+            self._by_lender[key[1]].add(key)
 
     def amount(self, key) -> float:
         return self._amounts.get(key, 0.0)
 
     def weights_for(self, key) -> np.ndarray:
-        return self._weights[key[1:]]
+        return self._weights[(key[0], key[2], key[3])]
 
     def reduce(self, key, amount: float) -> None:
         left = self._amounts[key] - amount
-        if left <= 0.0:
-            del self._amounts[key]
-            self._by_lender[key[0]].discard(key)
-        else:
+        if left > 0.0:
             self._amounts[key] = left
-
-    @staticmethod
-    def _canonical(key) -> tuple:
-        return (key[2], key[0], key[1], _KIND_ORDER[key[3]])
+            return
+        del self._amounts[key]
+        self._by_lender[key[1]].discard(key)
+        issue = (key[0], key[2], key[3])
+        self._live[issue] -= 1
+        if not self._live[issue]:
+            del self._live[issue], self._weights[issue]
 
     def sorted_keys(self) -> list:
-        """All outstanding positions in canonical (issue period, lender,
-        borrower, kind) order; every mutation pass iterates in this order."""
-        return sorted(self._amounts, key=self._canonical)
-
-    def keys_by_lender(self, lender: int) -> list:
-        return sorted(self._by_lender[lender], key=self._canonical)
+        """All outstanding positions in canonical order."""
+        return sorted(self._amounts)
 
     def lender_sums(self) -> np.ndarray:
         out = np.zeros(self.n_banks)
-        for (lender, _, _, _), amount in self._amounts.items():
+        for (_, lender, _, _), amount in self._amounts.items():
             out[lender] += amount
         return out
 
     def borrower_sums(self) -> np.ndarray:
         out = np.zeros(self.n_banks)
-        for (_, borrower, _, _), amount in self._amounts.items():
+        for (_, _, borrower, _), amount in self._amounts.items():
             out[borrower] += amount
         return out
 
     def total(self) -> float:
         return float(sum(self._amounts.values()))
-
-    def copy(self) -> "InterbankLoanLedger":
-        clone = InterbankLoanLedger(self.n_banks)
-        clone._amounts = dict(self._amounts)
-        clone._weights = {k: v.copy() for k, v in self._weights.items()}
-        clone._by_lender = [set(s) for s in self._by_lender]
-        return clone
 
     def reassign_claims(self, from_bank: int, to_bank: int, requested: float,
                         include_self: bool = True) -> tuple[float, float]:
@@ -136,11 +133,10 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
-        keys = self.keys_by_lender(from_bank)
-        if not include_self:
-            keys = [k for k in keys if k[1] != to_bank]
-        else:
-            keys.sort(key=lambda k: k[1] == to_bank)  # stable: third-party claims first
+        held = sorted(self._by_lender[from_bank])
+        keys = [k for k in held if k[2] != to_bank]
+        if include_self:
+            keys += [k for k in held if k[2] == to_bank]
         if not keys:
             return 0.0, 0.0
         available = sum(self._amounts[k] for k in keys)
@@ -153,12 +149,13 @@ class InterbankLoanLedger:
             part = min(take - moved, self._amounts[key])
             if part <= 0:
                 break
-            _, borrower, period, kind = key
+            period, _, borrower, kind = key
+            weights = self.weights_for(key)  # before reduce, which may free it
             self.reduce(key, part)
             if borrower == to_bank:
                 cancelled += part
             else:
-                self.add(to_bank, borrower, period, kind, part, self._weights[(borrower, period, kind)])
+                self.add(to_bank, borrower, period, kind, part, weights)
             moved += part
         return moved, cancelled
 
@@ -205,11 +202,10 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     """
     due = []
     for key in loans.sorted_keys():
-        lender, borrower, issued, kind = key
+        issued, lender, borrower, kind = key
         if issued >= period:
-            continue
-        draw = keyed_threshold_draw(decision_seed, period, lender, borrower,
-                                    issued, _KIND_ORDER[kind])
+            break  # keys run in issue order: the rest are not yet due
+        draw = keyed_threshold_draw(decision_seed, period, lender, borrower, issued, kind)
         if draw > omega:
             due.append((key, loans.amount(key)))
     if not due:
@@ -228,7 +224,7 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
         amount = min(frozen, loans.amount(key))
         if amount <= 0:
             continue
-        lender, borrower, _, _ = key
+        _, lender, borrower, _ = key
         legs = amount * loans.weights_for(key)
         a1_leg = min(legs[0], max(banks.a1[borrower], 0.0))
         a2_leg = min(legs[1], max(banks.a2[borrower], 0.0))
@@ -262,7 +258,6 @@ class PoolingState:
     """One period's pooling snapshot, taken after interbank repayment."""
 
     base: ReserveBase
-    current_ratio: np.ndarray   # reserve holding over deposits (inf when no deposits)
     excess: np.ndarray          # lendable surplus per bank, zero unless above target
     need: np.ndarray            # reserve shortfall per bank, zero unless below target
     target_reserve: np.ndarray  # target ratio times deposits
@@ -297,11 +292,6 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
     excess = np.where(surplus, reserve - target, 0.0)
     need = np.where(shortage, target - reserve, 0.0)
 
-    ratio = np.zeros(B)
-    has_dep = dep > 0
-    ratio[has_dep] = reserve[has_dep] / dep[has_dep]
-    ratio[~has_dep & (reserve > 0)] = np.inf
-
     potential = surplus[:, None] & shortage[None, :]
 
     if matching is MatchingMode.EXOGENOUS:
@@ -319,7 +309,6 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
     actual = potential & (scores > phi)
     return PoolingState(
         base=base,
-        current_ratio=ratio,
         excess=excess,
         need=need,
         target_reserve=target,

@@ -92,10 +92,6 @@ class CustomerBook:
     l2: np.ndarray          # (C,) loan deposits
     n_banks: int
 
-    @property
-    def n_customers(self) -> int:
-        return self.assignment.shape[0]
-
     def counts(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_banks)
 

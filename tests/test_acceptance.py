@@ -5,7 +5,6 @@ criterion has several).  The master seed is fixed so the battery is fully
 reproducible; ensembles derive their per-run seeds from it.
 """
 
-import dataclasses
 import time
 from math import comb
 

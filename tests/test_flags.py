@@ -1,7 +1,5 @@
 """End-to-end runs for the optional scenario switches."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 

@@ -14,12 +14,21 @@ from minibank import (
     ScenarioConfig,
     allocate_pooled_credit,
     compute_pooling_state,
+    get_preset,
+    init_state,
     repay_interbank_loans,
+    run_period,
     run_scenario,
     sum_reserve,
 )
 
 W_A1 = np.array([1.0, 0.0, 0.0])
+
+
+def _issuances(loans):
+    """Snapshotted issuances and live ones, each as (period, borrower, kind)."""
+    live = {(period, borrower, kind) for period, _, borrower, kind in loans.sorted_keys()}
+    return set(loans._weights), live
 
 
 def _match_rng(seed=1, period=1):
@@ -59,7 +68,7 @@ class TestLedger:
         moved, cancelled = loans.reassign_claims(0, 1, 40.0)
         assert moved == pytest.approx(40.0)
         assert cancelled == 0.0
-        assert loans.amount((1, 2, 1, LoanKind.WIRE)) == pytest.approx(40.0)
+        assert loans.amount((1, 1, 2, LoanKind.WIRE)) == pytest.approx(40.0)
 
     def test_reassign_cancels_self_claims_last(self):
         loans = InterbankLoanLedger(3)
@@ -68,7 +77,7 @@ class TestLedger:
         moved, cancelled = loans.reassign_claims(0, 1, 70.0)
         assert moved == pytest.approx(70.0)
         assert cancelled == pytest.approx(40.0)  # claims on bank 1 extinguished
-        assert loans.amount((0, 1, 1, LoanKind.WIRE)) == pytest.approx(10.0)
+        assert loans.amount((1, 0, 1, LoanKind.WIRE)) == pytest.approx(10.0)
 
     def test_reassign_exclude_self(self):
         loans = InterbankLoanLedger(3)
@@ -82,6 +91,62 @@ class TestLedger:
         moved, _ = loans.reassign_claims(0, 1, 100.0)
         assert moved == 30.0
         assert loans.lender_sums()[0] == 0.0
+
+    def test_sorted_keys_in_canonical_order(self):
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 2, LoanKind.ROLLOVER, 1.0, W_A1)
+        loans.add(2, 0, 1, LoanKind.WIRE, 1.0, W_A1)
+        loans.add(0, 1, 2, LoanKind.WIRE, 1.0, W_A1)
+        loans.add(0, 2, 1, LoanKind.POOLED, 1.0, W_A1)
+        loans.add(1, 2, 1, LoanKind.WIRE, 1.0, W_A1)
+        loans.add(0, 1, 2, LoanKind.POOLED, 1.0, W_A1)
+        assert loans.sorted_keys() == [
+            (1, 0, 2, LoanKind.POOLED),
+            (1, 1, 2, LoanKind.WIRE),
+            (1, 2, 0, LoanKind.WIRE),
+            (2, 0, 1, LoanKind.WIRE),
+            (2, 0, 1, LoanKind.POOLED),
+            (2, 0, 1, LoanKind.ROLLOVER),
+        ]
+
+    def test_snapshot_kept_until_last_holder_is_repaid(self):
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)
+        loans.add(2, 1, 2, LoanKind.WIRE, 5.0, W_A1)
+        loans.reduce((2, 0, 1, LoanKind.WIRE), 10.0)
+        assert _issuances(loans) == ({(2, 1, LoanKind.WIRE)},) * 2
+        loans.reduce((2, 2, 1, LoanKind.WIRE), 5.0)
+        assert _issuances(loans) == (set(), set())
+
+    def test_snapshot_follows_a_moved_claim(self):
+        weights = np.array([0.25, 0.25, 0.5])
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 2, 1, LoanKind.POOLED, 30.0, weights)
+        loans.reassign_claims(0, 1, 30.0)
+        assert loans.sorted_keys() == [(1, 1, 2, LoanKind.POOLED)]
+        assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
+        assert np.array_equal(loans.weights_for((1, 1, 2, LoanKind.POOLED)), weights)
+        loans.reassign_claims(1, 2, 30.0)  # back to the borrower: cancelled
+        assert _issuances(loans) == (set(), set())
+
+    def test_snapshot_freed_by_self_claim_cancellation(self):
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 1, LoanKind.WIRE, 50.0, W_A1)
+        loans.add(0, 2, 1, LoanKind.POOLED, 30.0, W_A1)
+        moved, cancelled = loans.reassign_claims(0, 1, 80.0)
+        assert (moved, cancelled) == (80.0, 50.0)
+        assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
+
+
+def test_snapshots_live_exactly_as_long_as_their_issuance():
+    config = get_preset("baseline_perfect", seed=20260808)
+    streams = RngStreams(config.seed)
+    state = init_state(config, streams)
+    for _ in range(config.T):
+        run_period(state, config, streams)
+        snapshots, live = _issuances(state.loans)
+        assert len(snapshots) == len(live), f"period {state.period}"
+        assert snapshots == live
 
 
 def _sheet_with_loan(amount=100.0, borrower_a1=150.0):
@@ -144,7 +209,7 @@ class TestInterbankRepayment:
         assert banks.a3[0] == pytest.approx(70.0)
         assert banks.l3[1] == pytest.approx(70.0)
         loans.check_consistency(banks)
-        key = (0, 1, 5, LoanKind.ROLLOVER)
+        key = (5, 0, 1, LoanKind.ROLLOVER)
         assert loans.amount(key) == pytest.approx(70.0)
 
     def test_identity_preserved_through_settlement(self):
@@ -172,7 +237,6 @@ class TestPoolingState:
         assert state.need[1] == pytest.approx(60.0)
         assert state.need[2] == pytest.approx(60.0)
         assert np.all(state.excess * state.need == 0.0)
-        assert state.current_ratio[0] == np.inf
 
     def test_perfect_pooling_keeps_every_pair(self):
         state = compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 0.0,
