@@ -11,8 +11,11 @@ up holding on itself cancelled outright.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,6 +43,8 @@ class InterbankLoanLedger:
 
     Positions are keyed (issue period, lender, borrower, kind), so the keys'
     natural order is the canonical order every mutation pass iterates in.
+    Each lender's positions are also kept as a sorted list, so claims are
+    taken oldest first without sorting on every reassignment.
     An issuance (issue period, borrower, kind) carries the borrower's
     reserve-component weights snapshotted when it was created; repayments
     settle against that snapshot, and it is freed when the last position of
@@ -53,7 +58,7 @@ class InterbankLoanLedger:
         self._amounts: dict[tuple[int, int, int, LoanKind], float] = {}
         self._weights: dict[tuple[int, int, LoanKind], np.ndarray] = {}
         self._live: dict[tuple[int, int, LoanKind], int] = {}  # open positions per issuance
-        self._by_lender: list[set] = [set() for _ in range(n_banks)]
+        self._by_lender: list[list] = [[] for _ in range(n_banks)]  # sorted keys
 
     def __len__(self) -> int:
         return len(self._amounts)
@@ -70,14 +75,14 @@ class InterbankLoanLedger:
         existing = self._weights.get(issue)
         if existing is None:
             self._weights[issue] = w.copy()
-        elif not np.array_equal(existing, w):
+        elif existing is not w and not np.array_equal(existing, w):
             raise LedgerError(f"conflicting weight snapshots for issuance {issue}")
         if key in self._amounts:
             self._amounts[key] += float(amount)
         else:
             self._amounts[key] = float(amount)
             self._live[issue] = self._live.get(issue, 0) + 1
-            self._by_lender[key[1]].add(key)
+            insort(self._by_lender[key[1]], key)
 
     def amount(self, key) -> float:
         return self._amounts.get(key, 0.0)
@@ -91,7 +96,8 @@ class InterbankLoanLedger:
             self._amounts[key] = left
             return
         del self._amounts[key]
-        self._by_lender[key[1]].discard(key)
+        held = self._by_lender[key[1]]
+        del held[bisect_left(held, key)]
         issue = (key[0], key[2], key[3])
         self._live[issue] -= 1
         if not self._live[issue]:
@@ -102,16 +108,16 @@ class InterbankLoanLedger:
         return sorted(self._amounts)
 
     def lender_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_banks)
-        for (_, lender, _, _), amount in self._amounts.items():
-            out[lender] += amount
-        return out
+        return self._sums_by(1)
 
     def borrower_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_banks)
-        for (_, _, borrower, _), amount in self._amounts.items():
-            out[borrower] += amount
-        return out
+        return self._sums_by(2)
+
+    def _sums_by(self, field: int) -> np.ndarray:
+        n = len(self._amounts)
+        banks = np.fromiter(map(itemgetter(field), self._amounts), dtype=np.intp, count=n)
+        amounts = np.fromiter(self._amounts.values(), dtype=float, count=n)
+        return np.bincount(banks, weights=amounts, minlength=self.n_banks)
 
     def total(self) -> float:
         return float(sum(self._amounts.values()))
@@ -133,19 +139,27 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
-        held = sorted(self._by_lender[from_bank])
-        keys = [k for k in held if k[2] != to_bank]
-        if include_self:
-            keys += [k for k in held if k[2] == to_bank]
-        if not keys:
-            return 0.0, 0.0
-        available = sum(self._amounts[k] for k in keys)
-        take = min(requested, available)
+        held = self._by_lender[from_bank][:]  # a copy: taking claims edits the list
+
+        def candidates():
+            return chain((k for k in held if k[2] != to_bank),
+                         (k for k in held if k[2] == to_bank) if include_self else ())
+
+        # min(requested, sum of every candidate): float partial sums of
+        # positive amounts never decrease, so the scan stops once they reach
+        # requested.  The loop below walks the same order past that point,
+        # since moved can end a rounding step short of take.
+        take = 0.0
+        for key in candidates():
+            take += self._amounts[key]
+            if take >= requested:
+                take = requested
+                break
         if take <= 0:
             return 0.0, 0.0
         moved = 0.0
         cancelled = 0.0
-        for key in keys:
+        for key in candidates():
             part = min(take - moved, self._amounts[key])
             if part <= 0:
                 break
@@ -200,14 +214,12 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     the spot as a fresh loan from the same lender.  No reserve component is
     ever driven negative and the ledger keeps matching the sheets exactly.
     """
-    due = []
-    for key in loans.sorted_keys():
-        issued, lender, borrower, kind = key
-        if issued >= period:
-            break  # keys run in issue order: the rest are not yet due
-        draw = keyed_threshold_draw(decision_seed, period, lender, borrower, issued, kind)
-        if draw > omega:
-            due.append((key, loans.amount(key)))
+    keys = loans.sorted_keys()
+    keys = keys[:bisect_left(keys, (period,))]  # issued before this period
+    fields = (np.fromiter(map(itemgetter(i), keys), dtype=np.int64, count=len(keys))
+              for i in (1, 2, 0, 3))  # lender, borrower, issue period, kind
+    draws = keyed_threshold_draw(decision_seed, period, *fields)
+    due = [(keys[i], loans.amount(keys[i])) for i in np.flatnonzero(draws > omega)]
     if not due:
         return InterbankRepaymentStats(0.0, 0, 0.0, 0.0)
 

@@ -108,11 +108,17 @@ def initialise(config, rng: np.random.Generator, assignment=None):
 
     An explicit assignment array may be passed to pin the customer-to-bank
     map (useful for constructed cases); otherwise each customer draws its
-    bank uniformly from ``rng``.
+    bank uniformly from ``rng``.  A drawn map that leaves a bank without
+    customers, which could then not take a wire inflow, gives each such
+    bank the last customer of the then largest bank (lowest index on ties);
+    C >= B leaves that bank at least one customer.
     """
     B, C = config.B, config.C
     if assignment is None:
         assignment = rng.integers(0, B, size=C)
+        for bank in np.flatnonzero(np.bincount(assignment, minlength=B) == 0):
+            largest = np.argmax(np.bincount(assignment, minlength=B))
+            assignment[np.flatnonzero(assignment == largest)[-1]] = bank
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (C,) or assignment.min() < 0 or assignment.max() >= B:
         raise ConfigError("assignment: must map every customer to a bank index")

@@ -65,29 +65,31 @@ class RngStreams:
         return int(ss.generate_state(2, dtype=np.uint64)[1])
 
 
-_MASK64 = (1 << 64) - 1
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014) on uint64
+    arrays, whose arithmetic wraps mod 2**64.  Arrays, not NumPy scalars:
+    scalar uint64 arithmetic warns when it wraps."""
+    z = z + 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finaliser: avalanching 64-bit mixer."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def keyed_threshold_draw(subseed: int, *fields):
+    """Uniform draws on (0, 1] identified by integer keys.
 
-
-def keyed_threshold_draw(subseed: int, *fields: int) -> float:
-    """One uniform draw on (0, 1] identified by an integer key.
-
-    The draw depends only on (subseed, fields), never on how many other
+    A draw depends only on (subseed, fields), never on how many other
     draws were made, so an object keeps its own randomness no matter what
     else a scenario changes around it.  Runs that share a seed then stay
-    comparable object by object across scenario variants.
+    comparable object by object across scenario variants.  Fields may be
+    integer arrays, which broadcast into one draw per key; all-scalar
+    fields give one Python float.
     """
-    state = _mix64(subseed)
+    state = _mix64(np.full(1, subseed, dtype=np.uint64))
     for field in fields:
-        state = _mix64(state ^ (int(field) & _MASK64))
-    return 1.0 - state / 2.0**64
+        state = _mix64(state ^ np.asarray(field).astype(np.uint64))
+    draws = 1.0 - state / 2.0**64
+    return draws if any(np.ndim(f) for f in fields) else float(draws[0])
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,6 @@ def sample_triangular(params: TriangularParams, rng: np.random.Generator, size=N
 
 def random_row_stochastic(n: int, rng: np.random.Generator) -> np.ndarray:
     """n x n nonnegative matrix whose rows each sum to one."""
-    if n < 1:
-        raise ConfigError("a transition matrix needs at least one row")
     m = rng.random((n, n))
     m /= m.sum(axis=1, keepdims=True)
     return m

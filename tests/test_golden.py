@@ -51,6 +51,11 @@ GOLDEN = [
     ("no_transfer_on_issue", "baseline_perfect", dict(transfer_on_issue=False),
      "2db9177fdf71c5facce8aae44ca395ef161b6265cae012c282f506f3cb494c85",
      "4ce3efde04893c99d0d4e4abb700ca79fb2dfecb26c55df25558cb3ec660832b"),
+    # the bench's wide_banks scale: lenders hold many claims each, so the
+    # claim order and the partial sums of reassign_claims are exercised
+    ("wide_banks", "baseline_perfect", dict(B=50, T=10),
+     "2abedd1d4fb7981fd3a8053f640469a0974cdbad5569b4e5486cae4a261883d3",
+     "4e80e2bd946bba21e88eb9e76cf11137a5216f49bd6987a0db81106f0601f748"),
 ]
 
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minibank import (
     BankBalanceSheets,
@@ -136,6 +138,86 @@ class TestLedger:
         moved, cancelled = loans.reassign_claims(0, 1, 80.0)
         assert (moved, cancelled) == (80.0, 50.0)
         assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
+
+
+def _reference_reassign(loans, from_bank, to_bank, requested, include_self=True):
+    """reassign_claims as a full sort and a full sum over the candidates,
+    the algorithm the ledger's lazy prefix scan must match bit for bit."""
+    if requested <= 0:
+        return 0.0, 0.0
+    held = [k for k in loans.sorted_keys() if k[1] == from_bank]
+    keys = [k for k in held if k[2] != to_bank]
+    if include_self:
+        keys += [k for k in held if k[2] == to_bank]
+    if not keys:
+        return 0.0, 0.0
+    available = sum(loans.amount(k) for k in keys)
+    take = min(requested, available)
+    if take <= 0:
+        return 0.0, 0.0
+    moved = 0.0
+    cancelled = 0.0
+    for key in keys:
+        part = min(take - moved, loans.amount(key))
+        if part <= 0:
+            break
+        period, _, borrower, kind = key
+        weights = loans.weights_for(key)
+        loans.reduce(key, part)
+        if borrower == to_bank:
+            cancelled += part
+        else:
+            loans.add(to_bank, borrower, period, kind, part, weights)
+        moved += part
+    return moved, cancelled
+
+
+def test_reassign_takes_rounding_dust_from_the_next_claim():
+    # moved = fl(m + fl(r - m)) ends one ulp short of r here, and the
+    # shortfall is taken from the claim after the one that reached r
+    m, request = 0.046074806754830805, 0.3
+    assert m + (request - m) < request
+    ledger, reference = InterbankLoanLedger(5), InterbankLoanLedger(5)
+    for loans in (ledger, reference):
+        for borrower, amount in ((1, m), (2, 1.0), (3, 1.0)):
+            loans.add(0, borrower, borrower, LoanKind.WIRE, amount, W_A1)
+    got = ledger.reassign_claims(0, 4, request)
+    assert got == _reference_reassign(reference, 0, 4, request)
+    assert ledger.amount((3, 4, 3, LoanKind.WIRE)) > 0.0
+    assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
+        {k: reference.amount(k) for k in reference.sorted_keys()}
+
+
+# dust next to unit amounts makes partial sums round
+_AMOUNTS = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.1, 0.2, 0.3, 3e-17, 1e-16, 1.0 + 2**-52]))
+_POSITIONS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                                st.sampled_from(list(LoanKind)), _AMOUNTS)
+                      .filter(lambda p: p[1] != p[2]), min_size=1, max_size=25)
+
+
+@given(_POSITIONS, st.integers(0, 3), st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reassign_matches_sort_and_sum_reference(positions, from_bank, shift, include_self, data):
+    to_bank = (from_bank + shift) % 4
+    ledger, reference = InterbankLoanLedger(4), InterbankLoanLedger(4)
+    for period, lender, borrower, kind, amount in positions:
+        for loans in (ledger, reference):
+            loans.add(lender, borrower, period, kind, amount, W_A1)
+    # a request inside or at the end of one candidate claim, nudged by up to two ulps
+    held = [k for k in reference.sorted_keys() if k[1] == from_bank]
+    order = [k for k in held if k[2] != to_bank] + [k for k in held if k[2] == to_bank]
+    amounts = [reference.amount(k) for k in order] or [1.0]
+    k = data.draw(st.integers(0, len(amounts) - 1))
+    at = sum(amounts[:k]) + data.draw(st.floats(0, 1)) * amounts[k]
+    request = float(at + data.draw(st.integers(-2, 2)) * np.spacing(at))
+
+    got = ledger.reassign_claims(from_bank, to_bank, request, include_self)
+    want = _reference_reassign(reference, from_bank, to_bank, request, include_self)
+    assert got == want
+    assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
+        {k: reference.amount(k) for k in reference.sorted_keys()}
+    for bank in range(4):
+        assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys() if k[1] == bank]
 
 
 def test_snapshots_live_exactly_as_long_as_their_issuance():

@@ -9,6 +9,7 @@ from minibank import (
     RngStreams,
     ScenarioConfig,
     check_identities,
+    get_preset,
     initialise,
     reserve_weights,
     run_scenario,
@@ -51,6 +52,20 @@ class TestInitialise:
         # initialise trusts a validated config; run_scenario validates first
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig(seed=1, **bad))
+
+    def test_drawn_map_leaves_no_bank_empty(self):
+        # at C = 2B a uniform draw leaves some bank empty on almost every seed
+        for seed in range(5):
+            _, book = _init(seed=seed, B=20, C=40)
+            raw = RngStreams(seed).stream("assignment", 0).integers(0, 20, size=40)
+            assert book.counts().min() >= 1
+            assert np.count_nonzero(book.assignment != raw) == np.count_nonzero(
+                np.bincount(raw, minlength=20) == 0)
+
+    def test_sparse_customers_run_clean(self):
+        for seed in range(3):
+            config = get_preset("baseline_perfect", seed=seed, B=20, C=40, T=10)
+            assert run_scenario(config, check="phase").sheets.shape == (10, 20, 10)
 
     def test_assignment_reproducible(self):
         _, book_a = _init(seed=9)

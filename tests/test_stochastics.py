@@ -72,10 +72,6 @@ class TestRowStochastic:
         b = random_row_stochastic(1000, _rng(9, "cash_matrix", 4))
         assert np.array_equal(a, b)
 
-    def test_needs_positive_size(self):
-        with pytest.raises(ConfigError):
-            random_row_stochastic(0, _rng())
-
 
 class TestUniformMatrix:
     def test_reproducible_and_in_range(self):
@@ -92,6 +88,24 @@ class TestUniformMatrix:
         assert uniform_matrix(1000, 1000, _rng(7)).max() <= 1.0
 
 
+MASK64 = (1 << 64) - 1
+
+
+def _reference_mix64(z):
+    z = (z + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_draw(subseed, *fields):
+    """SplitMix64 keyed draw in Python integers, which never wrap."""
+    state = _reference_mix64(subseed)
+    for field in fields:
+        state = _reference_mix64(state ^ field)
+    return 1.0 - state / 2.0**64
+
+
 class TestKeyedDraws:
     def test_deterministic(self):
         assert keyed_threshold_draw(123, 4, 5, 6) == keyed_threshold_draw(123, 4, 5, 6)
@@ -101,10 +115,28 @@ class TestKeyedDraws:
         assert len(draws) == 100
 
     def test_support_and_mean(self):
-        draws = np.array([keyed_threshold_draw(9, i) for i in range(100_000)])
+        draws = keyed_threshold_draw(9, np.arange(100_000))
         assert draws.min() > 0.0
         assert draws.max() <= 1.0
         assert abs(draws.mean() - 0.5) < 0.005
+
+    @given(st.integers(0, MASK64),
+           st.lists(st.tuples(st.integers(0, MASK64), st.integers(0, MASK64)),
+                    min_size=1, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_arrays_match_python_int_reference(self, subseed, keys):
+        first, second = (np.array(column, dtype=np.uint64) for column in zip(*keys))
+        draws = keyed_threshold_draw(subseed, 7, first, second)
+        assert draws.tolist() == [_reference_draw(subseed, 7, a, b) for a, b in keys]
+        scalar = keyed_threshold_draw(subseed, 7, *keys[0])
+        assert type(scalar) is float and scalar == draws[0]
+
+    def test_full_range_batch_matches_reference(self):
+        fields = np.random.default_rng(5).integers(0, MASK64, size=(3, 20_000),
+                                                    dtype=np.uint64, endpoint=True)
+        draws = keyed_threshold_draw(MASK64 - 2, *fields)
+        assert draws.tolist() == [_reference_draw(MASK64 - 2, *map(int, key))
+                                  for key in fields.T]
 
 
 BASELINE_LAWS = ScenarioConfig(
