@@ -24,7 +24,6 @@ from .stochastics import (
 from .ledger import (
     BankBalanceSheets,
     CustomerBook,
-    IdentityReport,
     ReserveBase,
     check_identities,
     initialise,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .ledger import BankBalanceSheets
+from .ledger import BankBalanceSheets, bank_scale
 
 
 def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
@@ -26,7 +26,7 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     post-pooling holding): the guarantee must complete the reserve level
     to exactly the target.  Returns per-bank granted amounts.
     """
-    scale = np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
+    scale = bank_scale(banks)
     raw = np.maximum(np.asarray(unmet, dtype=float), 0.0)
     grant = np.where(raw > rtol * scale, raw, 0.0)
     wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)

@@ -21,7 +21,14 @@ from .config import (
     parse_config_text,
     preset_names,
 )
-from .engine import compare_phis, run_ensemble, run_scenario, trace_metrics, validate_run
+from .engine import (
+    CHECK_CADENCES,
+    compare_phis,
+    run_ensemble,
+    run_scenario,
+    trace_metrics,
+    validate_run,
+)
 from .errors import SimulationError
 
 
@@ -118,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
     run.add_argument("--figure", type=int, choices=sorted(FIGURE_COLUMNS),
                      help="also emit the aggregate-column subset for this chart")
-    run.add_argument("--check", choices=("phase", "period", "off"), default="period",
+    run.add_argument("--check", choices=CHECK_CADENCES, default="period",
                      help="identity-check cadence (default once per period)")
     run.set_defaults(func=_cmd_run)
 
@@ -126,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(ens)
     ens.add_argument("--seeds", type=int, default=30, metavar="N", help="number of runs")
     ens.add_argument("--out", required=True, metavar="DIR")
-    ens.add_argument("--check", choices=("phase", "period", "off"), default="period")
+    ens.add_argument("--check", choices=CHECK_CADENCES, default="period")
     ens.set_defaults(func=_cmd_ensemble)
 
     cmp_ = sub.add_parser("compare", help="sweep phi over shared-shock seeds")
@@ -135,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated pooling qualities (default 0,0.4,0.8)")
     cmp_.add_argument("--seeds", type=int, default=30, metavar="N")
     cmp_.add_argument("--out", metavar="DIR", help="optionally write compare_summary.csv")
-    cmp_.add_argument("--check", choices=("phase", "period", "off"), default="period")
+    cmp_.add_argument("--check", choices=CHECK_CADENCES, default="period")
     cmp_.set_defaults(func=_cmd_compare)
 
     val = sub.add_parser("validate", help="run the invariant suite on one scenario")

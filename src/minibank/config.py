@@ -8,9 +8,12 @@ seeded from the clock.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 from .bank_credit import LendingBehaviour
 from .errors import ConfigError
@@ -33,8 +36,10 @@ class ScenarioConfig:
 
     Defaults are the baseline calibration at desk scale: ten banks, a
     thousand customers, fifty periods, broad reserve base, perfect pooling.
+    The fields, in order, are the config keys of the key = value format.
     """
 
+    preset: str | None = None
     seed: int
     T: int = 50
     B: int = 10
@@ -63,7 +68,6 @@ class ScenarioConfig:
     fixed_payment_matrix: bool = False
     transfer_on_issue: bool = True
     relax_target_base: bool = False
-    preset: str | None = None
 
     def validate(self) -> "ScenarioConfig":
         def bad(key: str, message: str):
@@ -192,16 +196,10 @@ def get_preset(name: str, seed: int, **overrides) -> ScenarioConfig:
 # Flat key = value serialisation
 # ---------------------------------------------------------------------------
 
-_KEY_TO_ATTR = {"lambda": "lam"}
-
-KEY_ORDER = (
-    "preset", "seed", "T", "B", "C", "A1_0", "A4_0",
-    "r_A1", "r_A2", "r_interbank", "r_L1", "r_L2", "l5_spread",
-    "gamma_RR", "gamma_TR_noise", "behaviour", "reserve_base",
-    "psi", "theta", "omega", "phi", "matching", "alpha", "lambda",
-    "xi1", "xi2", "fixed_payment_matrix", "transfer_on_issue",
-    "relax_target_base",
-)
+# Config key -> field name, in field order; `lambda` is a Python keyword.
+_FIELD_NAMES = {("lambda" if f.name == "lam" else f.name): f.name
+                for f in dataclasses.fields(ScenarioConfig)}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -242,48 +240,30 @@ def _parse_opt_float(key: str, raw: str) -> float | None:
     return _parse_float(key, raw)
 
 
-def _parse_enum(enum_cls):
-    def parse(key: str, raw: str):
-        lowered = raw.strip().lower()
-        for member in enum_cls:
-            if member.value == lowered:
-                return member
-        options = ", ".join(m.value for m in enum_cls)
-        raise ConfigError(f"{key}: expected one of {options}, got {raw!r}")
-
-    return parse
+def _parse_enum(enum_cls, key: str, raw: str):
+    lowered = raw.strip().lower()
+    for member in enum_cls:
+        if member.value == lowered:
+            return member
+    options = ", ".join(m.value for m in enum_cls)
+    raise ConfigError(f"{key}: expected one of {options}, got {raw!r}")
 
 
-_PARSERS = {
-    "seed": _parse_int,
-    "T": _parse_int,
-    "B": _parse_int,
-    "C": _parse_int,
-    "A1_0": _parse_float,
-    "A4_0": _parse_float,
-    "r_A1": _parse_tri,
-    "r_A2": _parse_tri,
-    "r_interbank": _parse_tri,
-    "r_L1": _parse_tri,
-    "r_L2": _parse_tri,
-    "l5_spread": _parse_float,
-    "gamma_RR": _parse_float,
-    "gamma_TR_noise": _parse_tri,
-    "behaviour": _parse_enum(LendingBehaviour),
-    "reserve_base": _parse_enum(ReserveBase),
-    "psi": _parse_tri,
-    "theta": _parse_tri,
-    "omega": _parse_float,
-    "phi": _parse_float,
-    "matching": _parse_enum(MatchingMode),
-    "alpha": _parse_opt_float,
-    "lambda": _parse_opt_float,
-    "xi1": _parse_float,
-    "xi2": _parse_float,
-    "fixed_payment_matrix": _parse_bool,
-    "transfer_on_issue": _parse_bool,
-    "relax_target_base": _parse_bool,
+_PARSE_BY_TYPE = {
+    int: _parse_int,
+    float: _parse_float,
+    float | None: _parse_opt_float,
+    bool: _parse_bool,
+    TriangularParams: _parse_tri,
 }
+
+
+def _parse_value(key: str, raw: str):
+    """Parse one value by the annotation of the key's field."""
+    kind = _FIELD_TYPES[_FIELD_NAMES[key]]
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return _parse_enum(kind, key, raw)
+    return _PARSE_BY_TYPE[kind](key, raw)
 
 
 def _format_value(value) -> str:
@@ -291,7 +271,7 @@ def _format_value(value) -> str:
         return f"{value.lower!r}, {value.peak!r}, {value.upper!r}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (LendingBehaviour, ReserveBase, MatchingMode)):
+    if isinstance(value, Enum):
         return value.value
     if value is None:
         return "none"
@@ -302,9 +282,8 @@ def _format_value(value) -> str:
 
 def config_to_pairs(config: ScenarioConfig) -> list[tuple[str, str]]:
     pairs = []
-    for key in KEY_ORDER:
-        attr = _KEY_TO_ATTR.get(key, key)
-        value = getattr(config, attr)
+    for key, name in _FIELD_NAMES.items():
+        value = getattr(config, name)
         if key == "preset" and value is None:
             continue
         pairs.append((key, _format_value(value)))
@@ -346,9 +325,9 @@ def config_from_pairs(pairs) -> ScenarioConfig:
         if key == "preset":
             preset_name = raw.strip()
             continue
-        if key not in _PARSERS:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown key {key!r}")
-        explicit[_KEY_TO_ATTR.get(key, key)] = _PARSERS[key](key, raw)
+        explicit[_FIELD_NAMES[key]] = _parse_value(key, raw)
 
     fields: dict = {}
     if preset_name:

@@ -57,6 +57,10 @@ STAT_COLUMNS = (
 
 AGGREGATE_COLUMNS = ITEM_NAMES + ("money_total", "profit_total") + STAT_COLUMNS
 
+# How often run_period checks the state: after every phase, once at the
+# period end, or never.
+CHECK_CADENCES = ("phase", "period", "off")
+
 
 @dataclass
 class SimulationState:
@@ -80,14 +84,17 @@ def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, tol: float, where: str) -> None:
-    """Per-bank identities, currency conservation and ledger consistency."""
-    report = check_identities(state.banks, state.book, tol)
-    if not report.ok:
-        raise IdentityError(f"{where}: {report.worst()}")
-    drift = abs(float(state.banks.a1.sum()) - config.A1_0)
-    if drift > tol * config.A1_0:
-        raise IdentityError(f"{where}: currency drift {drift / config.A1_0:.3e} of A1_0")
-    state.loans.check_consistency(state.banks, tol)
+    """Per-bank identities, currency conservation and ledger consistency;
+    a failure's message starts with ``where``."""
+    try:
+        check_identities(state.banks, state.book, tol)
+        drift = abs(float(state.banks.a1.sum()) - config.A1_0)
+        if not drift <= tol * config.A1_0:
+            raise IdentityError(f"currency drift {drift / config.A1_0:.3e} of A1_0")
+        state.loans.check_consistency(state.banks, tol)
+    except SimulationError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _period_flows(config: ScenarioConfig, streams: RngStreams, period: int) -> PaymentFlows:
@@ -104,8 +111,8 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
                check: str = "period", tol: float = 1e-9) -> PeriodRecord:
     """Advance the state by one period and return its record.
 
-    ``check`` controls how often the identity, currency and ledger checks run:
-    "phase" after every phase, "period" once at the period end, "off" never.
+    ``check``, one of CHECK_CADENCES, controls how often the identity,
+    currency and ledger checks run.
     """
     t = state.period + 1
     banks, book, loans = state.banks, state.book, state.loans
@@ -231,8 +238,8 @@ def _trace_from_records(config: ScenarioConfig, initial: np.ndarray,
 def run_scenario(config: ScenarioConfig, check: str = "period", tol: float = 1e-9) -> SimulationTrace:
     """Run one seeded scenario end to end and return its trace."""
     config.validate()
-    if check not in ("phase", "period", "off"):
-        raise ConfigError(f"check: expected phase/period/off, got {check!r}")
+    if check not in CHECK_CADENCES:
+        raise ConfigError(f"check: expected {'/'.join(CHECK_CADENCES)}, got {check!r}")
     streams = RngStreams(config.seed)
     state = init_state(config, streams)
     if check != "off":

@@ -19,8 +19,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import LedgerError
-from .ledger import BankBalanceSheets, ReserveBase, reserve_weights, sum_reserve
+from .errors import LedgerError, SimulationError
+from .ledger import BankBalanceSheets, ReserveBase, reserve_weights, sum_reserve, worst_residual
 from .stochastics import keyed_threshold_draw, uniform_matrix
 
 
@@ -174,18 +174,11 @@ class InterbankLoanLedger:
         return moved, cancelled
 
     def check_consistency(self, banks: BankBalanceSheets, rtol: float = 1e-9) -> float:
-        """Assert per-bank ledger sums match a3/l3; returns the max residual."""
-        scale = np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
-        lender_res = np.abs(self.lender_sums() - banks.a3) / scale
-        borrower_res = np.abs(self.borrower_sums() - banks.l3) / scale
-        worst = float(max(lender_res.max(), borrower_res.max()))
-        if worst > rtol:
-            bank = int(np.argmax(np.maximum(lender_res, borrower_res)))
-            raise LedgerError(
-                f"ledger out of sync with balance sheets at bank {bank} "
-                f"(relative residual {worst:.3e})"
-            )
-        return worst
+        """Check that per-bank ledger sums match a3/l3; returns the worst
+        relative residual and raises LedgerError past ``rtol``."""
+        return worst_residual({"ledger a3": np.abs(self.lender_sums() - banks.a3),
+                               "ledger l3": np.abs(self.borrower_sums() - banks.l3)},
+                              banks, rtol, LedgerError)
 
 
 @dataclass(frozen=True)
@@ -313,10 +306,15 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
         equity_ratio = np.divide(banks.l4, liabilities, out=np.zeros(B), where=liabilities > 0)
         np.maximum(equity_ratio, 0.0, out=equity_ratio)
         exposure = np.divide(banks.l3, liabilities, out=np.zeros(B), where=liabilities > 0)
-        with np.errstate(divide="ignore"):
+        np.maximum(exposure, 0.0, out=exposure)  # l3 can end a rounding step below zero
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite distance scores zero
             lender_term = alpha * np.power(equity_ratio, -alpha)
-        distance = lender_term[:, None] + alpha * np.power(exposure, alpha)[None, :]
-        scores = lam * np.exp(-lam * distance)
+            distance = lender_term[:, None] + alpha * np.power(exposure, alpha)[None, :]
+            scores = lam * np.exp(-lam * distance)
+        if not np.isfinite(scores).all():
+            lender, borrower = np.argwhere(~np.isfinite(scores))[0]
+            raise SimulationError(f"non-finite match score for lender {lender}, "
+                                  f"borrower {borrower}")
 
     actual = potential & (scores > phi)
     return PoolingState(

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IdentityError
 
 ITEM_NAMES = ("a1", "a2", "a3", "a4", "a5", "l1", "l2", "l3", "l4", "l5")
 
@@ -164,57 +164,35 @@ def reserve_weights(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the per-bank identities and the customer-book sum constraints.
+def bank_scale(banks: BankBalanceSheets) -> np.ndarray:
+    """Per-bank scale of the state checks: the bank's total gross position,
+    at least one."""
+    return np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
 
-    Residuals are absolute; ``scale`` is the per-bank normalisation (at least
-    one, otherwise the bank's total gross position) used for the relative
-    comparison against ``tol``.
+
+def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
+                   tol: float, error: type[Exception]) -> float:
+    """The largest of the named per-bank residuals relative to bank_scale.
+
+    Raises ``error`` naming the part and bank where it exceeds ``tol``; a
+    NaN residual counts as exceeding it.
     """
-
-    core: np.ndarray       # |a1 + a2 + a3 - (l1 + l2 + l3)|
-    equity: np.ndarray     # |a4 - l4|
-    guarantee: np.ndarray  # |a5 - l5|
-    book_l1: np.ndarray    # |sum of customer l1 - bank l1|
-    book_l2: np.ndarray    # |sum of customer l2 - bank l2|
-    scale: np.ndarray
-    tol: float
-
-    _PARTS = ("core", "equity", "guarantee", "book_l1", "book_l2")
-
-    @property
-    def max_relative(self) -> float:
-        return max(float((getattr(self, p) / self.scale).max()) for p in self._PARTS)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_relative <= self.tol
-
-    def worst(self) -> str:
-        """Human-readable description of the largest relative residual."""
-        best_part, best_bank, best_val = "core", 0, -1.0
-        for part in self._PARTS:
-            rel = getattr(self, part) / self.scale
-            bank = int(np.argmax(rel))
-            if rel[bank] > best_val:
-                best_part, best_bank, best_val = part, bank, float(rel[bank])
-        return f"{best_part} residual {best_val:.3e} at bank {best_bank}"
+    relative = np.stack(list(residuals.values())) / bank_scale(banks)
+    worst = float(relative.max())
+    if not worst <= tol:
+        part, bank = np.unravel_index(np.argmax(relative), relative.shape)
+        raise error(f"{list(residuals)[part]} residual {relative[part, bank]:.3e} at bank {bank}")
+    return worst
 
 
-def check_identities(banks: BankBalanceSheets, book: CustomerBook, tol: float = 1e-9) -> IdentityReport:
-    """Measure how far the state is from the three balance-sheet identities
-    and the two customer-book sum constraints.
-
-    Pure reporting: callers decide whether a violation aborts the run.
-    """
-    scale = np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
-    return IdentityReport(
-        core=np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
-        equity=np.abs(banks.a4 - banks.l4),
-        guarantee=np.abs(banks.a5 - banks.l5),
-        book_l1=np.abs(book.bank_l1() - banks.l1),
-        book_l2=np.abs(book.bank_l2() - banks.l2),
-        scale=scale,
-        tol=tol,
-    )
+def check_identities(banks: BankBalanceSheets, book: CustomerBook, tol: float = 1e-9) -> float:
+    """Check the three balance-sheet identities and the two customer-book
+    sum constraints; returns the worst relative residual and raises
+    IdentityError past ``tol``."""
+    return worst_residual({
+        "core": np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
+        "equity": np.abs(banks.a4 - banks.l4),
+        "guarantee": np.abs(banks.a5 - banks.l5),
+        "book_l1": np.abs(book.bank_l1() - banks.l1),
+        "book_l2": np.abs(book.bank_l2() - banks.l2),
+    }, banks, tol, IdentityError)

@@ -5,6 +5,8 @@ import pytest
 
 from minibank import (
     IdentityError,
+    LedgerError,
+    LoanKind,
     RngStreams,
     ScenarioConfig,
     TriangularParams,
@@ -96,6 +98,16 @@ class TestRunScenario:
         state.banks.l1[bank] += extra
         state.book.l1[0] += extra
         with pytest.raises(IdentityError, match="currency"):
+            run_period(state, config, streams, check="phase")
+
+    def test_ledger_failure_names_its_place(self):
+        # a ledger position with no a3/l3 behind it breaks no sheet identity
+        config = _small(seed=12)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        state.loans.add(0, 1, 0, LoanKind.WIRE, 1e6, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(LedgerError, match=r"^period 1, after remove_guarantees: "
+                                              r"ledger a3 residual .* at bank 0$"):
             run_period(state, config, streams, check="phase")
 
 

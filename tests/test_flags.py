@@ -1,13 +1,23 @@
 """End-to-end runs for the optional scenario switches."""
 
+import hashlib
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minibank import (
     LendingBehaviour,
+    MatchingMode,
     ReserveBase,
     ScenarioConfig,
     TriangularParams,
+    emit_trace_artifacts,
+    get_preset,
+    preset_names,
     run_scenario,
 )
 
@@ -68,7 +78,55 @@ def test_every_behaviour_base_combination_preserves_identities(behaviour, base):
 
 
 def test_endogenous_matching_full_run_with_phase_checks():
-    from minibank import MatchingMode
     config = _config(matching=MatchingMode.ENDOGENOUS, alpha=1.0, lam=1.5, phi=0.2)
     trace = run_scenario(config, check="phase")
     assert trace.n_periods == config.T
+
+
+UNIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def small_configs(draw):
+    B = draw(st.integers(2, 5))
+    matching = draw(st.sampled_from(MatchingMode))
+    endogenous = matching is MatchingMode.ENDOGENOUS
+    return get_preset(
+        draw(st.sampled_from(preset_names())),
+        seed=draw(st.integers(0, 2**32)),
+        T=draw(st.integers(0, 20)),
+        B=B,
+        C=B * draw(st.integers(1, 8)),
+        behaviour=draw(st.sampled_from(LendingBehaviour)),
+        reserve_base=draw(st.sampled_from(ReserveBase)),
+        matching=matching,
+        alpha=draw(st.floats(0.01, 1000.0)) if endogenous else None,
+        lam=draw(st.floats(0.01, 1000.0)) if endogenous else None,
+        phi=draw(UNIT),
+        omega=draw(UNIT),
+        xi1=draw(UNIT),
+        xi2=draw(UNIT),
+        fixed_payment_matrix=draw(st.booleans()),
+        transfer_on_issue=draw(st.booleans()),
+        relax_target_base=draw(st.booleans()),
+    )
+
+
+def _csv_digests(config):
+    with tempfile.TemporaryDirectory() as out:
+        trace = run_scenario(config, check="phase")
+        paths = emit_trace_artifacts(trace, out)
+        digests = [hashlib.sha256(paths[name].read_bytes()).hexdigest()
+                   for name in ("aggregate", "per_bank")]
+    return trace, digests
+
+
+@given(config=small_configs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_accepted_config_runs_clean(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, digests = _csv_digests(config)
+        _, again = _csv_digests(config)
+    assert np.all(np.abs(trace.aggregates["a1"] - config.A1_0) <= 1e-9 * config.A1_0)
+    assert digests == again

@@ -10,7 +10,15 @@ import hashlib
 
 import pytest
 
-from minibank import MatchingMode, ReserveBase, emit_trace_artifacts, get_preset, run_scenario
+from minibank import (
+    MatchingMode,
+    ReserveBase,
+    ScenarioConfig,
+    config_to_text,
+    emit_trace_artifacts,
+    get_preset,
+    run_scenario,
+)
 
 SEED = 20260808
 
@@ -67,3 +75,36 @@ def test_artifact_digests(tmp_path, preset, overrides, aggregate, per_bank):
     digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
                for name in ("aggregate", "per_bank")}
     assert digests == {"aggregate": aggregate, "per_bank": per_bank}
+
+
+# SHA-256 of config_to_text, the text that config_hash digests and the
+# manifest lists: a key dropped, renamed, reordered or formatted otherwise
+# changes one of these.  The presets write alpha and lambda as none; the
+# endogenous case writes them as numbers under the lambda key.
+CONFIG_TEXT = [
+    ("fig1_left", "f2fea0065c6be63e3e639e4d1d1595cf0996918d2c5c1fb1d8dc0f385da250eb"),
+    ("fig1_right", "1d7c7b5a47c0fac3910fd359a114c86290f10e8dc9fd35c2da080245c732d85a"),
+    ("fig2_left", "f169ecc882a5df7a7341b9c7e12be9c72b5d3607de0dacc4f8358c712f8e92da"),
+    ("fig2_mid", "213bd01a92b03cafef1655b60080b1afe85b096f56f4e1c1cf2e449f229003a6"),
+    ("fig2_right", "cd8e054cad0a881b63f14e3897bf7e6bf2a8732b08895f84390c0283ff3b4838"),
+    ("baseline_perfect", "ef8750bd27ff7df5fbe76a03467aba8a26d62c7ecd3a3abd80e199d3e432e82b"),
+    ("baseline_smooth", "8ef458e1b0223510d1e3c0ed02d12cc87f5f75a2821814a01256023d0043e05b"),
+    ("baseline_distressed", "f8f9663ee1f8a285732740756bfbad53887f3959370321803774adf73f691522"),
+    ("endogenous", "d69d314ee23f472b57ee8af5972b985f54e9e8decb69c81dfe0297a2c9270e34"),
+    ("no_preset", "f7a46a6a97152a1d8f15893315efaea97f8418a281c95eac621e5a049f03696d"),
+]
+
+
+def _config_case(case):
+    if case == "endogenous":
+        return get_preset("baseline_smooth", seed=SEED, matching=MatchingMode.ENDOGENOUS,
+                          alpha=1.0, lam=1.0)
+    if case == "no_preset":
+        return ScenarioConfig(seed=SEED)
+    return get_preset(case, seed=SEED)
+
+
+@pytest.mark.parametrize("case,digest", CONFIG_TEXT, ids=[case[0] for case in CONFIG_TEXT])
+def test_config_text_digests(case, digest):
+    text = config_to_text(_config_case(case))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from minibank import (
     ReserveBase,
     RngStreams,
     ScenarioConfig,
+    SimulationError,
     allocate_pooled_credit,
     compute_pooling_state,
     get_preset,
@@ -349,6 +350,22 @@ class TestPoolingState:
                                       alpha=1.0, lam=1.0)
         assert state.excess[0] == pytest.approx(90.0)
         assert state.actual.sum() == 2
+
+    def test_negative_exposure_dust_runs_clean(self):
+        # bank 2 ends period 14 at l3 = -7.45e-9, which np.power(l3 / liabilities,
+        # alpha) turned into a NaN score and a RuntimeWarning
+        config = get_preset("fig1_left", seed=3, B=4, C=40, T=20, omega=0.5,
+                            matching=MatchingMode.ENDOGENOUS, alpha=0.5, lam=3.0)
+        run_scenario(config, check="phase")
+
+    def test_non_finite_score_raises(self):
+        banks = _pooling_sheet()
+        banks.l1[0] = 100.0
+        banks.a4[0] = banks.l4[0] = np.nan
+        with pytest.raises(SimulationError, match="non-finite match score for lender 0"):
+            compute_pooling_state(banks, ReserveBase.NARROW, 0.1, 0.0,
+                                  MatchingMode.ENDOGENOUS, _match_rng(),
+                                  alpha=1.0, lam=1.0)
 
 
 class TestAllocation:

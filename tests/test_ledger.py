@@ -5,6 +5,7 @@ from minibank import (
     BankBalanceSheets,
     ConfigError,
     CustomerBook,
+    IdentityError,
     ReserveBase,
     RngStreams,
     ScenarioConfig,
@@ -101,23 +102,25 @@ class TestReserveBase:
 class TestIdentities:
     def test_fresh_state_has_zero_residuals(self):
         banks, book = _init(seed=4)
-        report = check_identities(banks, book)
-        assert report.max_relative == 0.0
-        assert report.ok
+        assert check_identities(banks, book) == 0.0
 
     def test_hand_built_violation(self):
         banks = BankBalanceSheets.zeros(1)
         banks.a1[0], banks.l1[0] = 1.0, 2.0
         book = CustomerBook(assignment=np.array([0]), l1=np.array([2.0]),
                             l2=np.array([0.0]), n_banks=1)
-        report = check_identities(banks, book)
-        assert report.core[0] == pytest.approx(1.0)
-        assert not report.ok
-        assert "core" in report.worst()
+        # a core residual of 1 over a gross position of 3
+        with pytest.raises(IdentityError, match=r"^core residual 3\.333e-01 at bank 0$"):
+            check_identities(banks, book)
 
     def test_book_sum_violation_detected(self):
         banks, book = _init(seed=5, B=2, C=10)
         book.l1[0] += 7.0
-        report = check_identities(banks, book)
-        assert report.book_l1.max() == pytest.approx(7.0)
-        assert not report.ok
+        with pytest.raises(IdentityError, match="^book_l1 residual"):
+            check_identities(banks, book)
+
+    def test_nan_residual_raises(self):
+        banks, book = _init(seed=5, B=2, C=10)
+        banks.a2[1] = np.nan
+        with pytest.raises(IdentityError, match="core residual nan at bank 1"):
+            check_identities(banks, book)
