@@ -31,7 +31,7 @@ from .ledger import (
     reserve_weights,
     sum_reserve,
 )
-from .payments import PaymentFlows, settle_cash_payments, settle_wire_transfers
+from .payments import settle_cash_payments, settle_wire_transfers
 from .bank_credit import (
     LendingBehaviour,
     draw_target_ratios,

@@ -148,10 +148,7 @@ def emit_compare_summary(compare: CompareResult, out_dir) -> Path:
     """Write the per-phi metric means of a shared-shock sweep."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for phi in compare.phis:
-        metrics = compare.results[phi].metrics
-        rows.append((phi,) + tuple(float(np.mean(metrics[name])) for name in METRIC_KEYS))
+    rows = zip(compare.phis, *(compare.means(name) for name in METRIC_KEYS))
     return _write_csv(out / "compare_summary.csv", ("phi",) + METRIC_KEYS, rows)
 
 
@@ -160,9 +157,8 @@ def format_compare_table(compare: CompareResult) -> str:
     lines = [f"phi sweep over {compare.n_seeds} shared-shock seeds"]
     header = f"{'phi':>6}" + "".join(f"{name:>28}" for name in METRIC_KEYS)
     lines.append(header)
-    for phi in compare.phis:
-        metrics = compare.results[phi].metrics
-        cells = "".join(f"{float(np.mean(metrics[name])):>28.6g}" for name in METRIC_KEYS)
+    for phi, *means in zip(compare.phis, *(compare.means(name) for name in METRIC_KEYS)):
+        cells = "".join(f"{value:>28.6g}" for value in means)
         lines.append(f"{phi:>6.2f}{cells}")
     for metric, direction in (("cumulative_customer_lending", True),
                               ("cumulative_interbank_issued", True),

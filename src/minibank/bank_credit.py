@@ -27,10 +27,10 @@ class LendingBehaviour(Enum):
     FRACTIONAL_RESERVE = "fractional_reserve"
 
 
-def draw_target_ratios(config: ScenarioConfig, n_banks: int, rng: np.random.Generator) -> np.ndarray:
+def draw_target_ratios(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Per-bank target reserve ratio for one period: the regulatory floor
     ``gamma_RR`` plus nonnegative noise drawn from ``gamma_TR_noise``."""
-    noise = sample_triangular(config.gamma_TR_noise, rng, n_banks)
+    noise = sample_triangular(config.gamma_TR_noise, rng, config.B)
     return config.gamma_RR + noise
 
 

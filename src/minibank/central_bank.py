@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .ledger import BankBalanceSheets, bank_scale
+from .ledger import TOL, BankBalanceSheets, bank_scale
 
 
 def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
-                     expected: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+                     expected: np.ndarray) -> np.ndarray:
     """Grant each bank a guarantee equal to its unmet reserve need.
 
     Shortfalls below the identity tolerance at the bank's balance-sheet
@@ -28,10 +28,10 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     """
     scale = bank_scale(banks)
     raw = np.maximum(np.asarray(unmet, dtype=float), 0.0)
-    grant = np.where(raw > rtol * scale, raw, 0.0)
+    grant = np.where(raw > TOL * scale, raw, 0.0)
     wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)
     gap = np.abs(raw - wanted)
-    if np.any(gap > rtol * scale):
+    if np.any(gap > TOL * scale):
         bank = int(np.argmax(gap / scale))
         raise ConsistencyError(
             f"guarantee does not close the reserve gap at bank {bank}: "
@@ -42,9 +42,7 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     return grant
 
 
-def remove_guarantees(banks: BankBalanceSheets) -> np.ndarray:
+def remove_guarantees(banks: BankBalanceSheets) -> None:
     """Zero out last period's guarantees; runs first thing every period."""
-    removed = banks.l5.copy()
     banks.a5 = np.zeros_like(banks.a5)
     banks.l5 = np.zeros_like(banks.l5)
-    return removed

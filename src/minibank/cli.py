@@ -29,7 +29,7 @@ from .engine import (
     trace_metrics,
     validate_run,
 )
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +43,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> ScenarioConfig:
     pairs = []
     if args.config:
-        pairs.extend(parse_config_text(Path(args.config).read_text()))
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: cannot read {args.config}: {exc}") from None
+        pairs.extend(parse_config_text(text))
     if args.preset:
         pairs.append(("preset", args.preset))
     if args.seed is not None:
@@ -85,7 +89,10 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    phis = [float(p) for p in args.phis.split(",")]
+    try:
+        phis = [float(p) for p in args.phis.split(",")]
+    except ValueError:
+        raise ConfigError(f"--phis: expected comma-separated numbers, got {args.phis!r}") from None
     start = time.perf_counter()
     compare = compare_phis(config, phis=phis, n_seeds=args.seeds, check=args.check)
     elapsed = time.perf_counter() - start

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bank_credit import draw_target_ratios, realise_lending, repay_customer_loans, target_lending
 from .central_bank import grant_guarantees, remove_guarantees
-from .config import ScenarioConfig, config_hash
+from .config import ScenarioConfig
 from .equity import accrue_equity
 from .errors import ConfigError, IdentityError, SimulationError
 from .interbank import (
@@ -28,13 +28,14 @@ from .interbank import (
 )
 from .ledger import (
     ITEM_NAMES,
+    TOL,
     BankBalanceSheets,
     CustomerBook,
     check_identities,
     initialise,
     sum_reserve,
 )
-from .payments import PaymentFlows, settle_cash_payments, settle_wire_transfers
+from .payments import settle_cash_payments, settle_wire_transfers
 from .stochastics import RngStreams, draw_period_rates, random_row_stochastic
 
 STAT_COLUMNS = (
@@ -57,9 +58,8 @@ STAT_COLUMNS = (
 
 AGGREGATE_COLUMNS = ITEM_NAMES + ("money_total", "profit_total") + STAT_COLUMNS
 
-# How often run_period checks the state: after every phase, once at the
-# period end, or never.
-CHECK_CADENCES = ("phase", "period", "off")
+# How often run_period checks the state: after every phase, or once per period.
+CHECK_CADENCES = ("phase", "period")
 
 
 @dataclass
@@ -83,32 +83,22 @@ def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
 
 
-def _check_state(state: SimulationState, config: ScenarioConfig, tol: float, where: str) -> None:
+def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
     """Per-bank identities, currency conservation and ledger consistency;
     a failure's message starts with ``where``."""
     try:
-        check_identities(state.banks, state.book, tol)
+        check_identities(state.banks, state.book)
         drift = abs(float(state.banks.a1.sum()) - config.A1_0)
-        if not drift <= tol * config.A1_0:
+        if not drift <= TOL * config.A1_0:
             raise IdentityError(f"currency drift {drift / config.A1_0:.3e} of A1_0")
-        state.loans.check_consistency(state.banks, tol)
+        state.loans.check_consistency(state.banks)
     except SimulationError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
 
 
-def _period_flows(config: ScenarioConfig, streams: RngStreams, period: int) -> PaymentFlows:
-    key = 0 if config.fixed_payment_matrix else period
-    return PaymentFlows(
-        cash_matrix=random_row_stochastic(config.C, streams.stream("cash_matrix", key)),
-        wire_matrix=random_row_stochastic(config.B, streams.stream("wire_matrix", key)),
-        xi1=config.xi1,
-        xi2=config.xi2,
-    )
-
-
 def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStreams,
-               check: str = "period", tol: float = 1e-9) -> PeriodRecord:
+               check: str = "period") -> PeriodRecord:
     """Advance the state by one period and return its record.
 
     ``check``, one of CHECK_CADENCES, controls how often the identity,
@@ -120,19 +110,22 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
 
     def checkpoint(phase: str) -> None:
         if per_phase:
-            _check_state(state, config, tol, f"period {t}, after {phase}")
+            _check_state(state, config, f"period {t}, after {phase}")
 
     remove_guarantees(banks)
     if banks.a5.any() or banks.l5.any():
         raise IdentityError(f"period {t}: guarantees survived removal")
     checkpoint("remove_guarantees")
 
-    target_ratio = draw_target_ratios(config, config.B, streams.stream("target_ratio", t))
+    target_ratio = draw_target_ratios(config, streams.stream("target_ratio", t))
 
-    flows = _period_flows(config, streams, t)
-    cash_stats = settle_cash_payments(banks, book, flows)
+    key = 0 if config.fixed_payment_matrix else t
+    cash_matrix = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
+    wire_matrix = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
+    cash_stats = settle_cash_payments(banks, book, cash_matrix, config.xi1)
     checkpoint("settle_cash_payments")
-    wire_stats = settle_wire_transfers(banks, book, flows, loans, config.reserve_base, t)
+    wire_stats = settle_wire_transfers(banks, book, wire_matrix, config.xi2, loans,
+                                       config.reserve_base, t)
     checkpoint("settle_wire_transfers")
 
     repaid = repay_customer_loans(banks, book, config, streams.stream("repayment_ratio", t))
@@ -157,13 +150,13 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
     grants = grant_guarantees(banks, unmet, expected=expected)
     checkpoint("grant_guarantees")
 
-    rates = draw_period_rates(config.B, config, streams.stream("rates", t))
+    rates = draw_period_rates(config, streams.stream("rates", t))
     profit = accrue_equity(banks, rates)
     checkpoint("accrue_equity")
 
     state.period = t
     if check == "period":
-        _check_state(state, config, tol, f"period {t}")
+        _check_state(state, config, f"period {t}")
 
     stats = {
         "new_customer_lending": float(lent.sum()),
@@ -198,7 +191,6 @@ class SimulationTrace:
     sheets: np.ndarray                # (T, B, 10)
     profit: np.ndarray                # (T, B)
     aggregates: dict[str, np.ndarray]  # (T,) per AGGREGATE_COLUMNS entry
-    config_hash: str
 
     @property
     def n_periods(self) -> int:
@@ -231,22 +223,19 @@ def _trace_from_records(config: ScenarioConfig, initial: np.ndarray,
         sheets=sheets,
         profit=profit,
         aggregates=aggregates,
-        config_hash=config_hash(config),
     )
 
 
-def run_scenario(config: ScenarioConfig, check: str = "period", tol: float = 1e-9) -> SimulationTrace:
+def run_scenario(config: ScenarioConfig, check: str = "period") -> SimulationTrace:
     """Run one seeded scenario end to end and return its trace."""
     config.validate()
     if check not in CHECK_CADENCES:
         raise ConfigError(f"check: expected {'/'.join(CHECK_CADENCES)}, got {check!r}")
     streams = RngStreams(config.seed)
     state = init_state(config, streams)
-    if check != "off":
-        _check_state(state, config, tol, "initial state")
+    _check_state(state, config, "initial state")
     initial = state.banks.snapshot()
-    records = [run_period(state, config, streams, check=check, tol=tol)
-               for _ in range(config.T)]
+    records = [run_period(state, config, streams, check=check) for _ in range(config.T)]
     return _trace_from_records(config, initial, records)
 
 
@@ -370,38 +359,31 @@ def compare_phis(config: ScenarioConfig, phis=(0.0, 0.4, 0.8), n_seeds: int = 30
     lending shocks are identical across phi values and differences isolate
     the pooling quality.
     """
+    phis = tuple(float(phi) for phi in phis)
+    if not phis or len(set(phis)) < len(phis):
+        raise ConfigError(f"phis: expected distinct values, got {list(phis)}")
     seeds = derive_seeds(config.seed, n_seeds)
     results = {
-        float(phi): run_ensemble(dataclasses.replace(config, phi=float(phi)),
-                                 seeds=seeds, check=check)
+        phi: run_ensemble(dataclasses.replace(config, phi=phi), seeds=seeds, check=check)
         for phi in phis
     }
-    return CompareResult(tuple(float(p) for p in phis), seeds, results)
+    return CompareResult(phis, seeds, results)
 
 
-def validate_run(config: ScenarioConfig, tol: float = 1e-9) -> list[tuple[str, bool, str]]:
+def validate_run(config: ScenarioConfig) -> list[tuple[str, bool, str]]:
     """Invariant battery over one run; returns (name, passed, detail) rows."""
-    rows: list[tuple[str, bool, str]] = []
     try:
-        trace = run_scenario(config, check="phase", tol=tol)
+        trace = run_scenario(config, check="phase")
     except SimulationError as exc:
         return [("per-phase identity, currency and ledger checks", False, str(exc))]
-    rows.append(("per-phase identity, currency and ledger checks", True,
-                 f"all {config.T} periods within {tol:g}"))
-
+    rows = [("per-phase identity, currency and ledger checks", True,
+             f"all {config.T} periods within {TOL:g}")]
+    if not trace.n_periods:
+        return rows
     agg = trace.aggregates
-
-    def series_check(name: str, residual: float, bound: float, detail: str) -> None:
-        rows.append((name, bool(residual <= bound), detail))
-
-    if trace.n_periods:
-        scale = np.maximum(1.0, agg["a3"])
-        dual = float((np.abs(agg["a3"] - agg["l3"]) / scale).max())
-        series_check("interbank duality", dual, tol, f"max relative gap {dual:.3e}")
-        eq_scale = np.maximum(1.0, np.abs(agg["a4"]))
-        eq = float((np.abs(agg["a4"] - agg["l4"]) / eq_scale).max())
-        series_check("equity duality", eq, tol, f"max relative gap {eq:.3e}")
-        g_scale = np.maximum(1.0, agg["a5"])
-        guar = float((np.abs(agg["a5"] - agg["l5"]) / g_scale).max())
-        series_check("guarantee duality", guar, tol, f"max relative gap {guar:.3e}")
+    for name, asset, liability in (("interbank", "a3", "l3"), ("equity", "a4", "l4"),
+                                   ("guarantee", "a5", "l5")):
+        scale = np.maximum(1.0, np.abs(agg[asset]))
+        gap = float((np.abs(agg[asset] - agg[liability]) / scale).max())
+        rows.append((f"{name} duality", bool(gap <= TOL), f"max relative gap {gap:.3e}"))
     return rows

@@ -173,12 +173,12 @@ class InterbankLoanLedger:
             moved += part
         return moved, cancelled
 
-    def check_consistency(self, banks: BankBalanceSheets, rtol: float = 1e-9) -> float:
+    def check_consistency(self, banks: BankBalanceSheets) -> float:
         """Check that per-bank ledger sums match a3/l3; returns the worst
-        relative residual and raises LedgerError past ``rtol``."""
+        relative residual and raises LedgerError past ``TOL``."""
         return worst_residual({"ledger a3": np.abs(self.lender_sums() - banks.a3),
                                "ledger l3": np.abs(self.borrower_sums() - banks.l3)},
-                              banks, rtol, LedgerError)
+                              banks, LedgerError)
 
 
 @dataclass(frozen=True)

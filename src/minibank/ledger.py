@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, IdentityError
+from .errors import IdentityError
 
 ITEM_NAMES = ("a1", "a2", "a3", "a4", "a5", "l1", "l2", "l3", "l4", "l5")
 
@@ -102,26 +102,20 @@ class CustomerBook:
         return np.bincount(self.assignment, weights=self.l2, minlength=self.n_banks)
 
 
-def initialise(config, rng: np.random.Generator, assignment=None):
+def initialise(config, rng: np.random.Generator):
     """Set up the opening state: equal customer cash endowments deposited at
     randomly assigned banks, equal bank equity, and no credit of any kind.
 
-    An explicit assignment array may be passed to pin the customer-to-bank
-    map (useful for constructed cases); otherwise each customer draws its
-    bank uniformly from ``rng``.  A drawn map that leaves a bank without
-    customers, which could then not take a wire inflow, gives each such
-    bank the last customer of the then largest bank (lowest index on ties);
-    C >= B leaves that bank at least one customer.
+    Each customer draws its bank uniformly from ``rng``.  A drawn map that
+    leaves a bank without customers, which could then not take a wire
+    inflow, gives each such bank the last customer of the then largest bank
+    (lowest index on ties); C >= B leaves that bank at least one customer.
     """
     B, C = config.B, config.C
-    if assignment is None:
-        assignment = rng.integers(0, B, size=C)
-        for bank in np.flatnonzero(np.bincount(assignment, minlength=B) == 0):
-            largest = np.argmax(np.bincount(assignment, minlength=B))
-            assignment[np.flatnonzero(assignment == largest)[-1]] = bank
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (C,) or assignment.min() < 0 or assignment.max() >= B:
-        raise ConfigError("assignment: must map every customer to a bank index")
+    assignment = rng.integers(0, B, size=C)
+    for bank in np.flatnonzero(np.bincount(assignment, minlength=B) == 0):
+        largest = np.argmax(np.bincount(assignment, minlength=B))
+        assignment[np.flatnonzero(assignment == largest)[-1]] = bank
 
     book = CustomerBook(
         assignment=assignment,
@@ -164,6 +158,11 @@ def reserve_weights(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
     return weights
 
 
+# The relative tolerance of every state check: per-phase identities, ledger
+# consistency, currency conservation and the guarantee cross-check.
+TOL = 1e-9
+
+
 def bank_scale(banks: BankBalanceSheets) -> np.ndarray:
     """Per-bank scale of the state checks: the bank's total gross position,
     at least one."""
@@ -171,28 +170,28 @@ def bank_scale(banks: BankBalanceSheets) -> np.ndarray:
 
 
 def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
-                   tol: float, error: type[Exception]) -> float:
+                   error: type[Exception]) -> float:
     """The largest of the named per-bank residuals relative to bank_scale.
 
-    Raises ``error`` naming the part and bank where it exceeds ``tol``; a
+    Raises ``error`` naming the part and bank where it exceeds ``TOL``; a
     NaN residual counts as exceeding it.
     """
     relative = np.stack(list(residuals.values())) / bank_scale(banks)
     worst = float(relative.max())
-    if not worst <= tol:
+    if not worst <= TOL:
         part, bank = np.unravel_index(np.argmax(relative), relative.shape)
         raise error(f"{list(residuals)[part]} residual {relative[part, bank]:.3e} at bank {bank}")
     return worst
 
 
-def check_identities(banks: BankBalanceSheets, book: CustomerBook, tol: float = 1e-9) -> float:
+def check_identities(banks: BankBalanceSheets, book: CustomerBook) -> float:
     """Check the three balance-sheet identities and the two customer-book
     sum constraints; returns the worst relative residual and raises
-    IdentityError past ``tol``."""
+    IdentityError past ``TOL``."""
     return worst_residual({
         "core": np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
         "equity": np.abs(banks.a4 - banks.l4),
         "guarantee": np.abs(banks.a5 - banks.l5),
         "book_l1": np.abs(book.bank_l1() - banks.l1),
         "book_l2": np.abs(book.bank_l2() - banks.l2),
-    }, banks, tol, IdentityError)
+    }, banks, IdentityError)

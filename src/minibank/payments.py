@@ -14,25 +14,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .interbank import InterbankLoanLedger, LoanKind
-from .ledger import BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
-
-
-@dataclass(frozen=True)
-class PaymentFlows:
-    """One period's payment shocks: transition matrices and scale factors.
-
-    Both matrices are row stochastic; a diagonal entry is a self-payment
-    and nets to nothing.  The cash matrix routes customer-to-customer
-    currency payments, scaled by xi1 (each customer pays out that fraction
-    of its cash deposit).  The wire matrix routes bank-to-bank wire volumes,
-    scaled by xi2 (each bank wires out that fraction of its loan-deposit
-    stock).
-    """
-
-    cash_matrix: np.ndarray  # (C, C)
-    wire_matrix: np.ndarray  # (B, B)
-    xi1: float
-    xi2: float
+from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
 
 
 @dataclass(frozen=True)
@@ -48,19 +30,20 @@ class WireTransferStats:
 
 
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
-                         flows: PaymentFlows) -> CashPaymentStats:
+                         matrix: np.ndarray, xi1: float) -> CashPaymentStats:
     """Let every customer pay out a fraction xi1 of its cash deposit along
-    its row of the cash matrix.
+    its row of the (C, C) cash matrix.
 
-    Each bank's currency reserves and currency deposits move together by its
-    customers' net flow, so total currency in the system is unchanged and no
-    customer balance can go negative (payments are a fraction of the
-    existing deposit).
+    The matrix is row stochastic; a diagonal entry is a self-payment and
+    nets to nothing.  Each bank's currency reserves and currency deposits
+    move together by its customers' net flow, so total currency in the
+    system is unchanged and no customer balance can go negative (payments
+    are a fraction of the existing deposit).
     """
-    if flows.xi1 == 0.0:
+    if xi1 == 0.0:
         return CashPaymentStats(0.0)
-    outflow = flows.xi1 * book.l1
-    inflow = flows.cash_matrix.T @ outflow
+    outflow = xi1 * book.l1
+    inflow = matrix.T @ outflow
     old_bank_l1 = book.bank_l1()
     book.l1 = book.l1 - outflow + inflow
     if book.l1.min() < 0:
@@ -72,35 +55,36 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
 
 
 def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
-                          flows: PaymentFlows, loans: InterbankLoanLedger,
+                          matrix: np.ndarray, xi2: float, loans: InterbankLoanLedger,
                           base: ReserveBase, period: int) -> WireTransferStats:
     """Wire loan deposits between banks and net the positions into credit.
 
     Every bank sends a fraction xi2 of its loan-deposit stock along its row
-    of the wire matrix.  No currency moves: positions are netted across all
-    counterparties at once, each bank's loan deposits change by its net
-    flow, and a bank with a net inflow has implicitly lent it (new a3)
-    while a net outflow is borrowed (new l3).  The payers' net positions
+    of the (B, B) wire matrix.  The matrix is row stochastic; a diagonal
+    entry is a self-payment and nets to nothing.  No currency moves:
+    positions are netted across all counterparties at once, each bank's
+    loan deposits change by its net flow, and a bank with a net inflow has
+    implicitly lent it (new a3) while a net outflow is borrowed (new l3).  The payers' net positions
     are matched to the receivers pro rata and recorded in the loan ledger,
     so ledger totals track the new balance-sheet items exactly.  Paying
     banks draw their customers' balances down pro rata; receiving banks
     credit theirs pro rata (equally when the receiving pool is empty).
     """
     B = banks.n_banks
-    if flows.xi2 == 0.0:
+    if xi2 == 0.0:
         return WireTransferStats(0.0, 0.0, 0)
     if banks.l2.min() < 0:
         raise ConsistencyError("loan deposits negative before wire transfers")
-    gross = flows.xi2 * banks.l2
+    gross = xi2 * banks.l2
     if gross.sum() == 0.0:
         return WireTransferStats(0.0, 0.0, 0)
 
-    matrix = gross[:, None] * flows.wire_matrix
-    net = matrix.sum(axis=0) - matrix.sum(axis=1)  # inflow minus outflow per bank
+    volumes = gross[:, None] * matrix
+    net = volumes.sum(axis=0) - volumes.sum(axis=1)  # inflow minus outflow per bank
 
     old_l2 = banks.l2.copy()
     new_l2 = old_l2 + net
-    if new_l2.min() < -1e-9 * max(1.0, float(old_l2.max())):
+    if new_l2.min() < -TOL * max(1.0, float(old_l2.max())):
         raise ConsistencyError("wire netting drove a bank's loan deposits negative")
     np.clip(new_l2, 0.0, None, out=new_l2)
 
@@ -147,4 +131,4 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
         for v, u, amount in entries:
             loans.add(v, u, period, LoanKind.WIRE, amount, weights[u])
 
-    return WireTransferStats(float(matrix.sum()), issued, count)
+    return WireTransferStats(float(volumes.sum()), issued, count)

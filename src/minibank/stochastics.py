@@ -159,7 +159,7 @@ class RateSet:
     r_l5: float
 
 
-def draw_period_rates(n_banks: int, config: ScenarioConfig, rng: np.random.Generator) -> RateSet:
+def draw_period_rates(config: ScenarioConfig, rng: np.random.Generator) -> RateSet:
     """Draw one period's rates from the laws ``r_A1``, ``r_A2``, ``r_L1``,
     ``r_L2`` and ``r_interbank``.
 
@@ -168,10 +168,10 @@ def draw_period_rates(n_banks: int, config: ScenarioConfig, rng: np.random.Gener
     two legs of every interbank position accrue at the same rate; the
     guarantee fee sits the fixed punitive spread ``l5_spread`` above it.
     """
-    r_a1 = sample_triangular(config.r_A1, rng, n_banks)
-    r_a2 = sample_triangular(config.r_A2, rng, n_banks)
-    r_l1 = sample_triangular(config.r_L1, rng, n_banks)
-    r_l2 = sample_triangular(config.r_L2, rng, n_banks)
+    r_a1 = sample_triangular(config.r_A1, rng, config.B)
+    r_a2 = sample_triangular(config.r_A2, rng, config.B)
+    r_l1 = sample_triangular(config.r_L1, rng, config.B)
+    r_l2 = sample_triangular(config.r_L2, rng, config.B)
     r_ib = float(sample_triangular(config.r_interbank, rng))
     return RateSet(
         r_a1=np.asarray(r_a1, dtype=float),

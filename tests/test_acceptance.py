@@ -54,7 +54,7 @@ def test_criterion_1_accounting_invariants():
     start = time.perf_counter()
     # per-phase checks raise beyond 1e-9 relative, so completing the run is
     # itself the identity assertion
-    trace = run_scenario(config, check="phase", tol=TOL)
+    trace = run_scenario(config, check="phase")
     elapsed = time.perf_counter() - start
     drift = float(np.abs(trace.aggregates["a1"] - config.A1_0).max()) / config.A1_0
     ok = drift <= TOL and elapsed < 5.0
@@ -68,7 +68,7 @@ def test_criterion_2_interbank_duality_every_preset():
     for name in preset_names():
         config = get_preset(name, seed=MASTER_SEED)
         # period checks enforce ledger <-> sheet consistency at 1e-9
-        trace = run_scenario(config, check="period", tol=TOL)
+        trace = run_scenario(config, check="period")
         gap = np.abs(trace.aggregates["a3"] - trace.aggregates["l3"])
         scale = np.maximum(1.0, trace.aggregates["a3"])
         worst = max(worst, float((gap / scale).max()))

@@ -49,7 +49,7 @@ class TestPolicyValidation:
 
     def test_target_ratio_with_noise(self):
         config = ScenarioConfig(seed=1, gamma_RR=0.1, gamma_TR_noise=POINT(0.02))
-        assert np.all(draw_target_ratios(config, 4, _rng()) == pytest.approx(0.12))
+        assert np.all(draw_target_ratios(config, _rng()) == pytest.approx(0.12))
 
 
 class TestRepayment:

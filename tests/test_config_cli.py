@@ -227,3 +227,24 @@ class TestCli:
     def test_bad_set_syntax(self, tmp_path, capsys):
         code = main(["run", "--seed", "1", "--set", "T4", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("phis", ["0,abc", ""])
+    def test_bad_phis_fail_cleanly(self, phis, capsys):
+        code = main(["compare", "--preset", "baseline_perfect", "--seed", "5",
+                     "--seeds", "2", "--phis", phis, "--set", "T=2", "--set", "C=80",
+                     "--set", "B=4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --phis: ")
+
+    def test_duplicate_phis_fail_cleanly(self, capsys):
+        code = main(["compare", "--preset", "baseline_perfect", "--seed", "5",
+                     "--seeds", "2", "--phis", "0,0", "--set", "T=2", "--set", "C=80",
+                     "--set", "B=4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: phis: ")
+
+    def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --config: cannot read ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minibank import (
+    ConfigError,
     IdentityError,
     LedgerError,
     LoanKind,
@@ -11,6 +12,7 @@ from minibank import (
     ScenarioConfig,
     TriangularParams,
     compare_phis,
+    config_hash,
     derive_seeds,
     get_preset,
     init_state,
@@ -58,7 +60,7 @@ class TestRunScenario:
         assert np.array_equal(a.profit, b.profit)
         for name in AGGREGATE_COLUMNS:
             assert np.array_equal(a.aggregates[name], b.aggregates[name])
-        assert a.config_hash == b.config_hash
+        assert config_hash(a.config) == config_hash(b.config)
 
     def test_zero_periods_keeps_only_the_initial_state(self):
         trace = run_scenario(_small(T=0))
@@ -141,6 +143,12 @@ class TestEnsembles:
         result = compare_phis(_small(seed=16, T=5), phis=(0.0, 0.8), n_seeds=2)
         assert result.results[0.0].seeds == result.results[0.8].seeds
         assert result.n_seeds == 2
+
+    def test_compare_rejects_duplicate_phis(self):
+        # a repeated phi would collapse into one result and make every
+        # strict trend across the sweep impossible
+        with pytest.raises(ConfigError, match="phis: expected distinct values"):
+            compare_phis(_small(seed=16, T=2), phis=(0.0, 0.0), n_seeds=1)
 
     def test_ordered_seed_count_bounds(self):
         result = compare_phis(_small(seed=16, T=5), phis=(0.0, 0.8), n_seeds=3)

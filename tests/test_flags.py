@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minibank import (
+    ConfigError,
     LendingBehaviour,
     MatchingMode,
     ReserveBase,
@@ -20,6 +21,7 @@ from minibank import (
     preset_names,
     run_scenario,
 )
+from minibank.cli import main
 
 
 def _config(**kw):
@@ -62,11 +64,13 @@ def test_relaxed_target_base_lends_more():
             > strict.aggregates["new_customer_lending"].sum())
 
 
-def test_check_off_matches_checked_run():
-    config = _config()
-    checked = run_scenario(config, check="period")
-    unchecked = run_scenario(config, check="off")
-    assert np.array_equal(checked.sheets, unchecked.sheets)
+def test_checks_cannot_be_switched_off(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="phase/period"):
+        run_scenario(_config(T=1), check="off")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "1", "--check", "off", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'off'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("behaviour", list(LendingBehaviour))

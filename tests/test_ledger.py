@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import minibank.ledger
 from minibank import (
     BankBalanceSheets,
     ConfigError,
@@ -35,9 +36,10 @@ class TestInitialise:
         assert np.all(banks.l4 == 1e7)
 
     def test_forced_one_customer_per_bank(self):
+        # at C = B the drawn map already gives every bank one customer
         config = ScenarioConfig(seed=1, B=4, C=4, A1_0=1e9)
-        banks, book = initialise(config, RngStreams(1).stream("assignment", 0),
-                                 assignment=[0, 1, 2, 3])
+        banks, book = initialise(config, RngStreams(1).stream("assignment", 0))
+        assert np.all(book.counts() == 1)
         assert np.all(banks.a1 == 1e9 / 4)
         assert np.all(banks.l1 == banks.a1)
 
@@ -100,6 +102,11 @@ class TestReserveBase:
 
 
 class TestIdentities:
+    def test_tolerance_is_pinned(self):
+        # every state check runs at this one relative bar; loosening it must
+        # fail here rather than pass silently
+        assert minibank.ledger.TOL == 1e-9
+
     def test_fresh_state_has_zero_residuals(self):
         banks, book = _init(seed=4)
         assert check_identities(banks, book) == 0.0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from minibank import (
     InterbankLoanLedger,
-    PaymentFlows,
     ReserveBase,
     RngStreams,
     check_identities,
@@ -16,21 +15,15 @@ from minibank import (
 from conftest import consistent_state
 
 
-def _flows(cash=None, wire=None, xi1=0.0, xi2=0.0, n=2):
-    identity = np.eye(n)
-    return PaymentFlows(
-        cash_matrix=identity if cash is None else np.asarray(cash, dtype=float),
-        wire_matrix=identity if wire is None else np.asarray(wire, dtype=float),
-        xi1=xi1,
-        xi2=xi2,
-    )
+# two parties that pay each other everything
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestCashPayments:
     def test_zero_scale_is_identity(self, two_banks_two_customers):
         banks, book = two_banks_two_customers
         before = banks.snapshot()
-        stats = settle_cash_payments(banks, book, _flows(xi1=0.0))
+        stats = settle_cash_payments(banks, book, np.eye(2), 0.0)
         assert stats.gross_volume == 0.0
         assert np.array_equal(banks.snapshot(), before)
 
@@ -38,8 +31,7 @@ class TestCashPayments:
         # both customers pay everything to customer 1; customer 1's payment
         # is a self-payment and nets out
         banks, book = two_banks_two_customers
-        flows = _flows(cash=[[0.0, 1.0], [0.0, 1.0]], xi1=0.1)
-        settle_cash_payments(banks, book, flows)
+        settle_cash_payments(banks, book, np.array([[0.0, 1.0], [0.0, 1.0]]), 0.1)
         assert book.l1[0] == pytest.approx(90.0)
         assert book.l1[1] == pytest.approx(110.0)
         assert banks.a1[0] == pytest.approx(90.0)
@@ -51,7 +43,7 @@ class TestCashPayments:
         banks, book = consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3,
                                        assignment=[0, 0, 0], n_banks=2)
         matrix = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1))
-        settle_cash_payments(banks, book, _flows(cash=matrix, xi1=0.5))
+        settle_cash_payments(banks, book, matrix, 0.5)
         assert banks.a1[0] == pytest.approx(120.0)  # internal transfers only
         assert banks.a1[1] == 0.0
 
@@ -65,7 +57,7 @@ class TestCashPayments:
         )
         total = banks.a1.sum()
         matrix = random_row_stochastic(40, rng.stream("cash_matrix", 1))
-        settle_cash_payments(banks, book, _flows(cash=matrix, xi1=1.0))
+        settle_cash_payments(banks, book, matrix, 1.0)
         assert banks.a1.sum() == pytest.approx(total, rel=1e-12)
         assert book.l1.min() >= 0.0
         check_identities(banks, book)
@@ -80,22 +72,20 @@ class TestWireTransfers:
         banks, book = self._state([1000.0, 0.0])
         loans = InterbankLoanLedger(2)
         before = banks.snapshot()
-        settle_wire_transfers(banks, book, _flows(xi2=0.0), loans, ReserveBase.BROAD, 1)
+        settle_wire_transfers(banks, book, np.eye(2), 0.0, loans, ReserveBase.BROAD, 1)
         assert np.array_equal(banks.snapshot(), before)
         assert len(loans) == 0
 
     def test_no_deposits_no_flows(self):
         banks, book = self._state([0.0, 0.0])
         loans = InterbankLoanLedger(2)
-        stats = settle_wire_transfers(banks, book, _flows(wire=[[0, 1], [1, 0]], xi2=0.5),
-                                      loans, ReserveBase.BROAD, 1)
+        stats = settle_wire_transfers(banks, book, SWAP, 0.5, loans, ReserveBase.BROAD, 1)
         assert stats.issued_volume == 0.0
 
     def test_two_bank_hand_case(self):
         banks, book = self._state([1000.0, 0.0])
         loans = InterbankLoanLedger(2)
-        flows = _flows(wire=[[0.0, 1.0], [1.0, 0.0]], xi2=0.1)
-        stats = settle_wire_transfers(banks, book, flows, loans, ReserveBase.BROAD, 1)
+        stats = settle_wire_transfers(banks, book, SWAP, 0.1, loans, ReserveBase.BROAD, 1)
         assert banks.l2[0] == pytest.approx(900.0)
         assert banks.l3[0] == pytest.approx(100.0)
         assert banks.l2[1] == pytest.approx(100.0)
@@ -111,8 +101,7 @@ class TestWireTransfers:
         banks, book = self._state([500.0, 500.0])
         loans = InterbankLoanLedger(2)
         before = banks.snapshot()
-        settle_wire_transfers(banks, book, _flows(wire=[[0.0, 1.0], [1.0, 0.0]], xi2=0.1),
-                              loans, ReserveBase.BROAD, 1)
+        settle_wire_transfers(banks, book, SWAP, 0.1, loans, ReserveBase.BROAD, 1)
         assert np.array_equal(banks.snapshot(), before)
         assert len(loans) == 0
 
@@ -125,8 +114,7 @@ class TestWireTransfers:
         loans = InterbankLoanLedger(5)
         matrix = random_row_stochastic(5, rng.stream("wire_matrix", 1))
         total = banks.l2.sum()
-        settle_wire_transfers(banks, book, _flows(wire=matrix, xi2=0.75, n=5),
-                              loans, ReserveBase.BROAD, 1)
+        settle_wire_transfers(banks, book, matrix, 0.75, loans, ReserveBase.BROAD, 1)
         assert banks.l2.sum() == pytest.approx(total, rel=1e-12)
         assert np.all(banks.l2 >= 0)
         # every new claim is matched by new borrowing, pair by pair

@@ -161,20 +161,20 @@ class TestRates:
             r_L2=TriangularParams.point(0.01),
             l5_spread=0.03,
         )
-        rates = draw_period_rates(10, laws, _rng())
+        rates = draw_period_rates(laws, _rng())
         assert rates.r_l3 == 0.015
         assert rates.r_l5 == pytest.approx(0.045)
         assert np.all(rates.r_a2 == 0.03)
 
     def test_interbank_rate_shared_by_both_sides(self):
-        rates = draw_period_rates(10, BASELINE_LAWS, _rng(4))
+        rates = draw_period_rates(BASELINE_LAWS, _rng(4))
         assert rates.r_a3 == rates.r_l3
         assert rates.r_l5 == pytest.approx(rates.r_l3 + 0.03)
 
     def test_retail_rate_mean(self):
         # many periods of per-bank draws; mean of Triangular(0.02, 0.03, 0.04) is 0.03
         rng = _rng(13)
-        draws = [draw_period_rates(10, BASELINE_LAWS, rng).r_a2 for _ in range(10_000)]
+        draws = [draw_period_rates(BASELINE_LAWS, rng).r_a2 for _ in range(10_000)]
         assert abs(np.concatenate(draws).mean() - 0.03) < 0.001
 
 
