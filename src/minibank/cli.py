@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SimulationError as exc:
+    except (SimulationError, OSError) as exc:  # OSError: writing the artifacts failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,6 +68,10 @@ class SimulationState:
     banks: BankBalanceSheets
     book: CustomerBook
     loans: InterbankLoanLedger
+    # The payment matrices, redrawn in place every period, or drawn once
+    # in the first period under fixed_payment_matrix.
+    cash_matrix: np.ndarray  # (C, C)
+    wire_matrix: np.ndarray  # (B, B)
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,8 @@ class PeriodRecord:
 
 def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     banks, book = initialise(config, streams.stream("assignment", 0))
-    return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
+    return SimulationState(0, banks, book, InterbankLoanLedger(config.B),
+                           np.empty((config.C, config.C)), np.empty((config.B, config.B)))
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
@@ -113,18 +118,17 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
             _check_state(state, config, f"period {t}, after {phase}")
 
     remove_guarantees(banks)
-    if banks.a5.any() or banks.l5.any():
-        raise IdentityError(f"period {t}: guarantees survived removal")
     checkpoint("remove_guarantees")
 
     target_ratio = draw_target_ratios(config, streams.stream("target_ratio", t))
 
-    key = 0 if config.fixed_payment_matrix else t
-    cash_matrix = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
-    wire_matrix = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
-    cash_stats = settle_cash_payments(banks, book, cash_matrix, config.xi1)
+    if not config.fixed_payment_matrix or t == 1:
+        key = 0 if config.fixed_payment_matrix else t
+        random_row_stochastic(config.C, streams.stream("cash_matrix", key), state.cash_matrix)
+        random_row_stochastic(config.B, streams.stream("wire_matrix", key), state.wire_matrix)
+    cash_stats = settle_cash_payments(banks, book, state.cash_matrix, config.xi1)
     checkpoint("settle_cash_payments")
-    wire_stats = settle_wire_transfers(banks, book, wire_matrix, config.xi2, loans,
+    wire_stats = settle_wire_transfers(banks, book, state.wire_matrix, config.xi2, loans,
                                        config.reserve_base, t)
     checkpoint("settle_wire_transfers")
 

@@ -56,7 +56,7 @@ class InterbankLoanLedger:
     def __init__(self, n_banks: int):
         self.n_banks = n_banks
         self._amounts: dict[tuple[int, int, int, LoanKind], float] = {}
-        self._weights: dict[tuple[int, int, LoanKind], np.ndarray] = {}
+        self._weights: dict[tuple[int, int, LoanKind], tuple[float, float, float]] = {}
         self._live: dict[tuple[int, int, LoanKind], int] = {}  # open positions per issuance
         self._by_lender: list[list] = [[] for _ in range(n_banks)]  # sorted keys
 
@@ -64,18 +64,22 @@ class InterbankLoanLedger:
         return len(self._amounts)
 
     def add(self, lender: int, borrower: int, period: int, kind: LoanKind,
-            amount: float, weights: np.ndarray) -> None:
+            amount: float, weights: tuple[float, float, float]) -> None:
+        """Book ``amount`` on the position, merging into an open one.
+
+        ``weights`` is the issuance's snapshot, three floats; a sequence of
+        equal values (a NumPy row, say) is the same snapshot.
+        """
         if amount <= 0:
             return
         if lender == borrower:
             raise LedgerError("a bank cannot lend to itself")
         key = (int(period), int(lender), int(borrower), kind)
         issue = (key[0], key[2], kind)
-        w = np.asarray(weights, dtype=float)
         existing = self._weights.get(issue)
         if existing is None:
-            self._weights[issue] = w.copy()
-        elif existing is not w and not np.array_equal(existing, w):
+            self._weights[issue] = tuple(map(float, weights))
+        elif existing is not weights and existing != tuple(weights):
             raise LedgerError(f"conflicting weight snapshots for issuance {issue}")
         if key in self._amounts:
             self._amounts[key] += float(amount)
@@ -87,7 +91,7 @@ class InterbankLoanLedger:
     def amount(self, key) -> float:
         return self._amounts.get(key, 0.0)
 
-    def weights_for(self, key) -> np.ndarray:
+    def weights_for(self, key) -> tuple[float, float, float]:
         return self._weights[(key[0], key[2], key[3])]
 
     def reduce(self, key, amount: float) -> None:
@@ -140,18 +144,20 @@ class InterbankLoanLedger:
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
         held = self._by_lender[from_bank][:]  # a copy: taking claims edits the list
-
-        def candidates():
-            return chain((k for k in held if k[2] != to_bank),
-                         (k for k in held if k[2] == to_bank) if include_self else ())
+        rest = chain((k for k in held if k[2] != to_bank),
+                     (k for k in held if k[2] == to_bank) if include_self else ())
 
         # min(requested, sum of every candidate): float partial sums of
         # positive amounts never decrease, so the scan stops once they reach
-        # requested.  The loop below walks the same order past that point,
-        # since moved can end a rounding step short of take.
+        # requested.  The loop below takes the claims it picked and goes on
+        # in the same order past them, since moved can end a rounding step
+        # short of take; the prefix is scanned once.
+        amounts = self._amounts
+        picked = []
         take = 0.0
-        for key in candidates():
-            take += self._amounts[key]
+        for key in rest:
+            picked.append(key)
+            take += amounts[key]
             if take >= requested:
                 take = requested
                 break
@@ -159,12 +165,12 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         moved = 0.0
         cancelled = 0.0
-        for key in candidates():
-            part = min(take - moved, self._amounts[key])
+        for key in chain(picked, rest):
+            part = min(take - moved, amounts[key])
             if part <= 0:
                 break
             period, _, borrower, kind = key
-            weights = self.weights_for(key)  # before reduce, which may free it
+            weights = self._weights[period, borrower, kind]  # before reduce, which may free it
             self.reduce(key, part)
             if borrower == to_bank:
                 cancelled += part
@@ -179,6 +185,13 @@ class InterbankLoanLedger:
         return worst_residual({"ledger a3": np.abs(self.lender_sums() - banks.a3),
                                "ledger l3": np.abs(self.borrower_sums() - banks.l3)},
                               banks, LedgerError)
+
+
+def weight_snapshots(banks: BankBalanceSheets,
+                     base: ReserveBase) -> list[tuple[float, float, float]]:
+    """Each bank's reserve weights as the ledger snapshots them, a tuple of
+    three floats; one list backs all the bookings of a phase."""
+    return list(map(tuple, reserve_weights(banks, base).tolist()))
 
 
 @dataclass(frozen=True)
@@ -217,8 +230,12 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
         return InterbankRepaymentStats(0.0, 0, 0.0, 0.0)
 
     # One weight snapshot per phase backs every refinancing made during it.
-    rollover_weights = reserve_weights(banks, base)
+    rollover_weights = weight_snapshots(banks, base)
 
+    # The loop runs on Python floats, which round as float64 does, so the
+    # bits are those of the same steps on the arrays.
+    a1, a2, a3, l3 = (banks.a1.tolist(), banks.a2.tolist(), banks.a3.tolist(),
+                      banks.l3.tolist())
     repaid = 0.0
     count = 0
     rolled = 0.0
@@ -230,10 +247,11 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
         if amount <= 0:
             continue
         _, lender, borrower, _ = key
-        legs = amount * loans.weights_for(key)
-        a1_leg = min(legs[0], max(banks.a1[borrower], 0.0))
-        a2_leg = min(legs[1], max(banks.a2[borrower], 0.0))
-        claim_target = legs[2] + (legs[0] - a1_leg) + (legs[1] - a2_leg)
+        w1, w2, w3 = loans.weights_for(key)
+        leg1, leg2, leg3 = amount * w1, amount * w2, amount * w3
+        a1_leg = min(leg1, max(a1[borrower], 0.0))
+        a2_leg = min(leg2, max(a2[borrower], 0.0))
+        claim_target = leg3 + (leg1 - a1_leg) + (leg2 - a2_leg)
 
         loans.reduce(key, amount)
         moved, cancelled = loans.reassign_claims(borrower, lender, claim_target)
@@ -243,18 +261,19 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
                       rollover_weights[borrower])
             rolled += deficit
 
-        banks.a1[borrower] -= a1_leg
-        banks.a1[lender] += a1_leg
-        banks.a2[borrower] -= a2_leg
-        banks.a2[lender] += a2_leg
-        banks.a3[borrower] -= moved
-        banks.a3[lender] += moved - cancelled + deficit - amount
-        banks.l3[lender] -= cancelled
-        banks.l3[borrower] -= amount - deficit
+        a1[borrower] -= a1_leg
+        a1[lender] += a1_leg
+        a2[borrower] -= a2_leg
+        a2[lender] += a2_leg
+        a3[borrower] -= moved
+        a3[lender] += moved - cancelled + deficit - amount
+        l3[lender] -= cancelled
+        l3[borrower] -= amount - deficit
 
         repaid += amount
         count += 1
         cancelled_total += cancelled
+    banks.a1[:], banks.a2[:], banks.a3[:], banks.l3[:] = a1, a2, a3, l3
     return InterbankRepaymentStats(repaid, count, rolled, cancelled_total)
 
 
@@ -409,19 +428,23 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     if np.any(grid < 0):
         raise LedgerError("negative pooled allocation")
 
-    pairs = [(int(l), int(b), grid[l, b])
-             for b in borrowers for l in np.flatnonzero(grid[:, b] > 0)]
+    pairs = [(l, b, grid[l, b].item())
+             for b in borrowers.tolist() for l in np.flatnonzero(grid[:, b] > 0).tolist()]
     if not pairs:
         return state.need.copy(), PoolingStats(0.0, 0, 0.0)
 
-    delivered = np.zeros(B)
+    # Both loops run on Python floats, as in repay_interbank_loans.
+    a1, a2, a3, l3 = (banks.a1.tolist(), banks.a2.tolist(), banks.a3.tolist(),
+                      banks.l3.tolist())
+    delivered = [0.0] * B
     cancelled_total = 0.0
-    in_base = state.base.component_mask
+    in_base = state.base.component_mask.tolist()
     if transfer_on_issue:
+        weights = state.weights.tolist()
         for lender, borrower, amount in pairs:
-            legs = amount * state.weights[lender]
-            a1_move = min(legs[0], max(banks.a1[lender], 0.0))
-            a2_move = min(legs[1], max(banks.a2[lender], 0.0))
+            w1, w2, _ = weights[lender]
+            a1_move = min(amount * w1, max(a1[lender], 0.0))
+            a2_move = min(amount * w2, max(a2[lender], 0.0))
             moved, _ = loans.reassign_claims(lender, borrower,
                                              amount - a1_move - a2_move,
                                              include_self=False)
@@ -429,46 +452,48 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
             # onto currency, then retail loans, then the borrower's own debt
             residual = amount - a1_move - a2_move - moved
             if residual > 0 and in_base[0]:
-                extra = min(residual, max(banks.a1[lender] - a1_move, 0.0))
+                extra = min(residual, max(a1[lender] - a1_move, 0.0))
                 a1_move += extra
                 residual -= extra
             if residual > 0 and in_base[1]:
-                extra = min(residual, max(banks.a2[lender] - a2_move, 0.0))
+                extra = min(residual, max(a2[lender] - a2_move, 0.0))
                 a2_move += extra
                 residual -= extra
             cancelled = 0.0
             if residual > 0:
                 moved_self, cancelled = loans.reassign_claims(lender, borrower, residual)
                 moved += moved_self
-            banks.a1[lender] -= a1_move
-            banks.a1[borrower] += a1_move
-            banks.a2[lender] -= a2_move
-            banks.a2[borrower] += a2_move
-            banks.a3[lender] -= moved
-            banks.a3[borrower] += moved - cancelled
-            banks.l3[borrower] -= cancelled
+            a1[lender] -= a1_move
+            a1[borrower] += a1_move
+            a2[lender] -= a2_move
+            a2[borrower] += a2_move
+            a3[lender] -= moved
+            a3[borrower] += moved - cancelled
+            l3[borrower] -= cancelled
             cancelled_total += cancelled
             delivered[borrower] += (in_base[0] * a1_move + in_base[1] * a2_move
                                     + in_base[2] * (moved - cancelled))
+        banks.a1[:], banks.a2[:], banks.a3[:], banks.l3[:] = a1, a2, a3, l3
 
     # Book the new positions once every transfer has landed, so one
     # post-transfer weight snapshot per borrower backs all of them.
-    post_weights = reserve_weights(banks, state.base)
+    post_weights = weight_snapshots(banks, state.base)
     issued = 0.0
     count = 0
     for lender, borrower, amount in pairs:
         loans.add(lender, borrower, period, LoanKind.POOLED, amount, post_weights[borrower])
-        banks.a3[lender] += amount
-        banks.l3[borrower] += amount
+        a3[lender] += amount
+        l3[borrower] += amount
         if not transfer_on_issue:
             # the borrower's side of the cross deposit: a claim on the lender
             loans.add(borrower, lender, period, LoanKind.POOLED, amount,
                       post_weights[lender])
-            banks.a3[borrower] += amount
-            banks.l3[lender] += amount
+            a3[borrower] += amount
+            l3[lender] += amount
             delivered[borrower] += in_base[2] * amount
         issued += amount
         count += 1
+    banks.a3[:], banks.l3[:] = a3, l3
 
     unmet = np.maximum(state.need - delivered, 0.0)
     return unmet, PoolingStats(issued, count, cancelled_total)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .interbank import InterbankLoanLedger, LoanKind
-from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
+from .interbank import InterbankLoanLedger, LoanKind, weight_snapshots
+from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase
 
 
 @dataclass(frozen=True)
@@ -110,24 +110,25 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     count = 0
     if lenders.size and borrowers.size:
         pos_total = net[lenders].sum()
-        add_a3 = np.zeros(B)
-        add_l3 = np.zeros(B)
+        add_a3 = [0.0] * B
+        add_l3 = [0.0] * B
         entries = []
-        for u in borrowers:
+        lender_ids = lenders.tolist()
+        for u in borrowers.tolist():
             needed = -net[u]
             amounts = needed * net[lenders] / pos_total
             amounts[-1] = needed - amounts[:-1].sum()  # exact borrower total
-            for v, amount in zip(lenders, amounts):
+            for v, amount in zip(lender_ids, amounts.tolist()):
                 if amount <= 0:
                     continue
-                entries.append((int(v), int(u), float(amount)))
+                entries.append((v, u, amount))
                 add_a3[v] += amount
                 add_l3[u] += amount
                 issued += amount
                 count += 1
         banks.a3 += add_a3
         banks.l3 += add_l3
-        weights = reserve_weights(banks, base)
+        weights = weight_snapshots(banks, base)
         for v, u, amount in entries:
             loans.add(v, u, period, LoanKind.WIRE, amount, weights[u])
 

@@ -134,11 +134,12 @@ def sample_triangular(params: TriangularParams, rng: np.random.Generator, size=N
     return float(out) if size is None else out
 
 
-def random_row_stochastic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n x n nonnegative matrix whose rows each sum to one."""
-    m = rng.random((n, n))
-    m /= m.sum(axis=1, keepdims=True)
-    return m
+def random_row_stochastic(n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the n x n array ``out`` with a nonnegative matrix whose rows each
+    sum to one, and return it; the bytes do not depend on what ``out`` held."""
+    rng.random((n, n), out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def uniform_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

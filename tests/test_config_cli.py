@@ -248,3 +248,11 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --config: cannot read ")
+
+    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["run", "--seed", "1", "--set", "T=1", "--set", "B=2", "--set", "C=4",
+                     "--out", str(afile)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

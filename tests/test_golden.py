@@ -64,6 +64,10 @@ GOLDEN = [
     ("wide_banks", "baseline_perfect", dict(B=50, T=10),
      "2abedd1d4fb7981fd3a8053f640469a0974cdbad5569b4e5486cae4a261883d3",
      "4e80e2bd946bba21e88eb9e76cf11137a5216f49bd6987a0db81106f0601f748"),
+    # one pair of payment matrices drawn for the whole run
+    ("fixed_payment_matrix", "baseline_perfect", dict(fixed_payment_matrix=True),
+     "5773a07ad77e0b65f38d2da23344bc3757f5e2fef2708d27dbf72175229da033",
+     "6d2e4273b0feb9b3584d83f8fd11c45918e9dbe9e96afc85733316e8f033075c"),
 ]
 
 

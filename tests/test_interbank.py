@@ -57,6 +57,16 @@ class TestLedger:
         with pytest.raises(LedgerError):
             loans.add(2, 1, 2, LoanKind.WIRE, 1.0, np.array([0.5, 0.0, 0.5]))
 
+    def test_snapshot_is_a_tuple_of_floats_compared_by_value(self):
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 2, LoanKind.POOLED, 10.0, np.array([0.25, 0.25, 0.5]))
+        loans.add(2, 1, 2, LoanKind.POOLED, 1.0, (0.25, 0.25, 0.5))
+        snapshot = loans.weights_for((2, 2, 1, LoanKind.POOLED))
+        assert snapshot == (0.25, 0.25, 0.5)
+        assert all(type(w) is float for w in snapshot)
+        with pytest.raises(LedgerError):
+            loans.add(2, 1, 2, LoanKind.POOLED, 1.0, (0.25, 0.5, 0.25))
+
     def test_sums_by_side(self):
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 1, LoanKind.WIRE, 10.0, W_A1)

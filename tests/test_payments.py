@@ -42,7 +42,7 @@ class TestCashPayments:
     def test_single_bank_nets_to_zero(self):
         banks, book = consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3,
                                        assignment=[0, 0, 0], n_banks=2)
-        matrix = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1))
+        matrix = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1), np.empty((3, 3)))
         settle_cash_payments(banks, book, matrix, 0.5)
         assert banks.a1[0] == pytest.approx(120.0)  # internal transfers only
         assert banks.a1[1] == 0.0
@@ -56,7 +56,7 @@ class TestCashPayments:
             n_banks=4,
         )
         total = banks.a1.sum()
-        matrix = random_row_stochastic(40, rng.stream("cash_matrix", 1))
+        matrix = random_row_stochastic(40, rng.stream("cash_matrix", 1), np.empty((40, 40)))
         settle_cash_payments(banks, book, matrix, 1.0)
         assert banks.a1.sum() == pytest.approx(total, rel=1e-12)
         assert book.l1.min() >= 0.0
@@ -112,7 +112,7 @@ class TestWireTransfers:
         l2 = 1000.0 * (0.05 + rng.stream("assignment").random(5))
         banks, book = self._state(list(l2))
         loans = InterbankLoanLedger(5)
-        matrix = random_row_stochastic(5, rng.stream("wire_matrix", 1))
+        matrix = random_row_stochastic(5, rng.stream("wire_matrix", 1), np.empty((5, 5)))
         total = banks.l2.sum()
         settle_wire_transfers(banks, book, matrix, 0.75, loans, ReserveBase.BROAD, 1)
         assert banks.l2.sum() == pytest.approx(total, rel=1e-12)

@@ -60,17 +60,21 @@ class TestTriangular:
 
 class TestRowStochastic:
     def test_single_row(self):
-        assert np.array_equal(random_row_stochastic(1, _rng()), np.array([[1.0]]))
+        assert np.array_equal(random_row_stochastic(1, _rng(), np.empty((1, 1))),
+                              np.array([[1.0]]))
 
     def test_rows_sum_to_one(self):
-        matrix = random_row_stochastic(5, _rng(2))
+        matrix = random_row_stochastic(5, _rng(2), np.empty((5, 5)))
         assert np.all(matrix >= 0)
         assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_bit_identical_across_calls(self):
-        a = random_row_stochastic(1000, _rng(9, "cash_matrix", 4))
-        b = random_row_stochastic(1000, _rng(9, "cash_matrix", 4))
-        assert np.array_equal(a, b)
+        a = random_row_stochastic(1000, _rng(9, "cash_matrix", 4), np.empty((1000, 1000)))
+        # a buffer that holds an earlier period's draw is refilled to the same bytes
+        reused = random_row_stochastic(1000, _rng(9, "cash_matrix", 5), np.empty((1000, 1000)))
+        b = random_row_stochastic(1000, _rng(9, "cash_matrix", 4), reused)
+        assert b is reused
+        assert a.tobytes() == b.tobytes()
 
 
 class TestUniformMatrix:
