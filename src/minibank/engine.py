@@ -11,6 +11,7 @@ independently seeded runs and merge afterwards.
 from __future__ import annotations
 
 import dataclasses
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,13 @@ class PeriodRecord:
 
 def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     banks, book = initialise(config, streams.stream("assignment", 0))
+    C = config.C
+    # A private anonymous mapping of its own, not the heap: it goes back to
+    # the OS when the run's state is dropped, wherever malloc's mmap
+    # threshold stands.
+    cash_matrix = np.frombuffer(mmap.mmap(-1, 8 * C * C, flags=mmap.MAP_PRIVATE)).reshape(C, C)
     return SimulationState(0, banks, book, InterbankLoanLedger(config.B),
-                           np.empty((config.C, config.C)), np.empty((config.B, config.B)))
+                           cash_matrix, np.empty((config.B, config.B)))
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .interbank import InterbankLoanLedger, LoanKind, weight_snapshots
 from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase
+from .stochastics import row_loops
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,34 @@ class WireTransferStats:
     gross_volume: float
     issued_volume: float  # new interbank credit created by the netting
     issued_count: int
+
+
+# Rows per block of the cash inflow sum; a constant, so the summation order
+# (and with it every bit of a run) is fixed.
+_INFLOW_BLOCK_ROWS = 64
+
+
+def _cash_inflow(matrix: np.ndarray, outflow: np.ndarray) -> np.ndarray:
+    """sum_i outflow[i] * matrix[i, :], in a fixed order: rows added one by
+    one within blocks of 64, block sums added in block order.
+
+    Multiplies and adds are separate IEEE operations, so no fused
+    multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
+    as each can for ``matrix.T @ outflow``.
+    """
+    n, m = matrix.shape
+    products = np.empty((min(_INFLOW_BLOCK_ROWS, n), m))
+    block_sum = np.empty(m)
+    inflow = np.zeros(m)
+    # the sums run down columns, one row after another, whatever the buffer
+    with row_loops():
+        for lo in range(0, n, _INFLOW_BLOCK_ROWS):
+            hi = min(lo + _INFLOW_BLOCK_ROWS, n)
+            rows = products[:hi - lo]
+            np.multiply(outflow[lo:hi, None], matrix[lo:hi], out=rows)
+            np.add.reduce(rows, axis=0, out=block_sum)
+            inflow += block_sum
+    return inflow
 
 
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
@@ -43,7 +72,7 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     if xi1 == 0.0:
         return CashPaymentStats(0.0)
     outflow = xi1 * book.l1
-    inflow = matrix.T @ outflow
+    inflow = _cash_inflow(matrix, outflow)
     old_bank_l1 = book.bank_l1()
     book.l1 = book.l1 - outflow + inflow
     if book.l1.min() < 0:

@@ -7,9 +7,17 @@ re-blesses the digests here and says why in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import minibank
 from minibank import (
     MatchingMode,
     ReserveBase,
@@ -25,49 +33,49 @@ SEED = 20260808
 # (case id, preset, overrides, aggregate.csv digest, per_bank.csv digest)
 GOLDEN = [
     ("fig1_left", "fig1_left", {},
-     "ae83c8c6a95bee6a587f6ef35f3076eedf24ecca1790ca34be5f01eb8af856b4",
-     "aa6f9e4f0908260c9f3e71ff4d6f53018c1e0ef6a0d0c8b802391a93e5c17a04"),
+     "8270174dcf83a56ba2a75f64e3258971594cc339c86b1abd72f95b0b6c51eee6",
+     "27dfabcf600c32d9ff068f7b04672b31a87122e9a4752b6e0e1412ef7648236a"),
     ("fig1_right", "fig1_right", {},
-     "43afffe89f3c2f7e1e121fcaba434183b00b00d3acd3b93fea95b7a84ed40343",
-     "097cc360c8ab32225c305e5215feb8fb1d4d678f8ba795e6c99c2e75d3a4e982"),
+     "e55ec6209d4ed01501d08403bda9e00577f78c28c5736d96be45f9749d70934e",
+     "efeccdfe1f32cb28d8d9aae0a7772104ff39616b45008eae4d8d4d11b13aa5f7"),
     ("fig2_left", "fig2_left", {},
-     "50fde830f52cf8873db58b937784f7890c8d8277f5b05e110552b340ad1f015f",
-     "2997a90c29e14fab9711a1b75615a2945a431f52e73a006741786babaf565d71"),
+     "4d767e3f14a4be41319fd3628194aa537c4460254106e075997028a11983811e",
+     "58469ea1a55084bbff1588a856b64e74c0736b8d81541d4a37b7ab4d1544dbe4"),
     ("fig2_mid", "fig2_mid", {},
-     "86c6e3b3aa19e8f0249567be9e1f66441c73bdf92fcdea28ad7d6136a2eb967e",
-     "0fadc1e828dd97d2fe061206ef0d43ec38d5691bf1b900d79cb2cb08331cdaa4"),
+     "76fdd9466c59f4d9430c78711e315cac5729e40696e53d1d2699dd0db2c31920",
+     "95fcbc05a6071122b154e537237d12304aceaa89333f23aaeb4ab1f396fce926"),
     ("fig2_right", "fig2_right", {},
-     "686f6a57adf0a321a1325081bbf62ecb4a0f85d15eb06f2596a87f8198f67f31",
-     "f0083970161b120a1c347df703fee2bb11d0102792b7fca91a48f97dabefef4f"),
+     "7f966b4d9642137887bad18d81087fdbdb04ea5c5866848a65c2a23015efde7e",
+     "4854eab9aea61c55b93f2d80c0d22d51443d6f2b5ea6a9fb5f77701e7962b30d"),
     ("baseline_perfect", "baseline_perfect", {},
-     "2d00e2d23601b58b4a2264ff2f07a2f556c92ac657d0f5f73536120b44a1f1d9",
-     "03ba3384188366f86e2db7923549d64854fddc9931d62cedb1752b52f0d51b93"),
+     "aa01616f47b85445dc7bd62532807f37a8601171086becc5d93918d377b5201d",
+     "e1bcbd337704c8dc521ffc49e54c7fbbb0f6939f395643579c3f1783305dde23"),
     ("baseline_smooth", "baseline_smooth", {},
-     "5f413093508dfdaeae5838a1c3872fd535366f4e68bf9056d01cfbf0bec36867",
-     "aae71ec7f344dcb5cf147091d93baba293958b63acbbcfcc887babd8cd887bdc"),
+     "a59b611f0b040339ff31a775a75fce8c365adbd42fd2172f3c8c40e84b339fa5",
+     "d26e96cb84898900cc355903312e3c07964a8054d700af98946c05cbbb17055c"),
     ("baseline_distressed", "baseline_distressed", {},
-     "769b53d966f2c5d531a41bf5c73b2794c98768e7c6132a1fb5b3b1881ca623c3",
-     "e67058be03ae1f2c0df9ac61abfa9b107582fafca3d17724371802a2887e867a"),
+     "00f13263ceb08abecceb6000968ff64e51e67c31f610db294a7a8f05b4ed3abc",
+     "ee68730751d8f9b4f89fa4df04dbfe2527dd54c6306bbc6ee1ec280ce48f3119"),
     # phi 0.4, not 0: at phi 0 every potential pair trades under either
     # matching rule, so endogenous scores would leave the bits unchanged
     ("endogenous", "baseline_smooth", dict(matching=MatchingMode.ENDOGENOUS, alpha=1.0, lam=1.0),
-     "e455b0d17f2a37d10675f6db3797cbea012c81300b68c0f4b429ff7070e6af02",
-     "e642edf89e82217cc1267821a7a8633019cfc8a41cd79da2410bb0b526b8dc99"),
+     "b972f95fd8adb6207ce59271eae3149b5ad5b7428a377803a40d1fff1732eaed",
+     "ef8d59664247f303cf7fe99c7cbad9352f403c7b1ceb0b81e8facb6561df9069"),
     ("securitised", "baseline_perfect", dict(reserve_base=ReserveBase.SECURITISED),
-     "c018c6a959739dee764406b49e7a0910883be0c5000df2972dbc8308fcb08917",
-     "edd69ab5085ad7036ccb6ced39c79fc2db75ee37ac70b9dd19ee1cc9a9bbd6d1"),
+     "40e6501cd2383e0fd689ea0497121f83a5eb702730cfae2230dd99b1b75cf8d8",
+     "2191c56a9ba2f8fa097cefbe36495443b00448224606936cb8496d3448e3cdf8"),
     ("no_transfer_on_issue", "baseline_perfect", dict(transfer_on_issue=False),
-     "2db9177fdf71c5facce8aae44ca395ef161b6265cae012c282f506f3cb494c85",
-     "4ce3efde04893c99d0d4e4abb700ca79fb2dfecb26c55df25558cb3ec660832b"),
+     "f451c2a29bf03d48583574e6f16f1c21460872032bda614013c56b54f5b7e9f9",
+     "ee1d63a001a3207b9f3dd65c941a1b5752b1e31ce2048523062da372497844b4"),
     # the bench's wide_banks scale: lenders hold many claims each, so the
     # claim order and the partial sums of reassign_claims are exercised
     ("wide_banks", "baseline_perfect", dict(B=50, T=10),
-     "2abedd1d4fb7981fd3a8053f640469a0974cdbad5569b4e5486cae4a261883d3",
-     "4e80e2bd946bba21e88eb9e76cf11137a5216f49bd6987a0db81106f0601f748"),
+     "cf82e376e4903504a489cabc2793351772bad40dba42bba9192608d4bd006d28",
+     "046a94e4e7e3a507c1b072f43c4f96104e06d1450496efae9d5fbf28127eccbf"),
     # one pair of payment matrices drawn for the whole run
     ("fixed_payment_matrix", "baseline_perfect", dict(fixed_payment_matrix=True),
-     "5773a07ad77e0b65f38d2da23344bc3757f5e2fef2708d27dbf72175229da033",
-     "6d2e4273b0feb9b3584d83f8fd11c45918e9dbe9e96afc85733316e8f033075c"),
+     "2758d5a3b73c84002f65a2b04e855f41289d9e4097c3a86639716d4702b892ae",
+     "6d35fb7f2c9e425b3996e7242a9a2ad287597260c831d429ea0ed93443037749"),
 ]
 
 
@@ -79,6 +87,56 @@ def test_artifact_digests(tmp_path, preset, overrides, aggregate, per_bank):
     digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
                for name in ("aggregate", "per_bank")}
     assert digests == {"aggregate": aggregate, "per_bank": per_bank}
+
+
+def _digests(preset, overrides, out_dir):
+    trace = run_scenario(get_preset(preset, seed=SEED, **overrides))
+    paths = emit_trace_artifacts(trace, out_dir)
+    return {name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+            for name in ("aggregate", "per_bank")}
+
+
+def _dynamic_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a NumPy that only prints its build config
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _simd_off_env() -> dict[str, str]:
+    """Switch off every SIMD target NumPy would dispatch to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return {}
+    targets = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)} if targets else {}
+
+
+_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import _digests
+print(json.dumps(_digests("baseline_perfect", {"T": 10}, sys.argv[2])))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _dynamic_openblas(),
+                    reason="needs x86-64 NumPy on a DYNAMIC_ARCH OpenBLAS")
+def test_digests_independent_of_blas_kernel_and_simd(tmp_path):
+    """The same digests in processes that run another BLAS kernel, one BLAS
+    thread, or NumPy without its SIMD loops."""
+    expected = _digests("baseline_perfect", {"T": 10}, tmp_path / "here")
+    src = str(Path(minibank.__file__).resolve().parents[1])
+    env_sets = [{"OPENBLAS_CORETYPE": "Nehalem"}, {"OPENBLAS_NUM_THREADS": "1"}, _simd_off_env()]
+    for i, extra in enumerate(filter(None, env_sets)):
+        env = {**os.environ, **extra,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(Path(__file__).parent), str(tmp_path / f"child{i}")],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert json.loads(child.stdout) == expected, extra
 
 
 # SHA-256 of config_to_text, the text that config_hash digests and the

@@ -12,6 +12,7 @@ from minibank import (
     settle_cash_payments,
     settle_wire_transfers,
 )
+from minibank.payments import _cash_inflow
 from conftest import consistent_state
 
 
@@ -61,6 +62,47 @@ class TestCashPayments:
         assert banks.a1.sum() == pytest.approx(total, rel=1e-12)
         assert book.l1.min() >= 0.0
         check_identities(banks, book)
+
+
+def _row_block_inflow(matrix, outflow):
+    """Reference for the cash inflow: rows added one by one within each block
+    of 64, block sums added in block order."""
+    n = matrix.shape[0]
+    inflow = np.zeros(matrix.shape[1])
+    for lo in range(0, n, 64):
+        block = outflow[lo] * matrix[lo]
+        for i in range(lo + 1, min(lo + 64, n)):
+            block = block + outflow[i] * matrix[i]
+        inflow = inflow + block
+    return inflow
+
+
+class TestCashInflow:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 200, 1001])
+    def test_matches_row_block_reference(self, n):
+        rng = RngStreams(5)
+        matrix = random_row_stochastic(n, rng.stream("cash_matrix", 1), np.empty((n, n)))
+        outflow = rng.stream("assignment").random(n) * 100
+        inflow = _cash_inflow(matrix, outflow)
+        assert inflow.tobytes() == _row_block_inflow(matrix, outflow).tobytes()
+        assert np.allclose(inflow, matrix.T @ outflow, rtol=1e-13, atol=0.0)
+
+    def test_many_blocks_conserve_currency(self):
+        rng = RngStreams(9)
+        n = 1000
+        banks, book = consistent_state(
+            l1=rng.stream("assignment").random(n) * 100,
+            l2=[0.0] * n,
+            assignment=rng.stream("assignment", 1).integers(0, 10, n),
+            n_banks=10,
+        )
+        total = banks.a1.sum()
+        matrix = random_row_stochastic(n, rng.stream("cash_matrix", 1), np.empty((n, n)))
+        for xi1 in (0.3, 1.0):
+            settle_cash_payments(banks, book, matrix, xi1)
+            assert abs(banks.a1.sum() - total) <= 1e-9 * total
+            assert book.l1.min() >= 0.0
+            check_identities(banks, book)
 
 
 class TestWireTransfers:

@@ -77,6 +77,21 @@ class TestRowStochastic:
         assert a.tobytes() == b.tobytes()
 
 
+class TestRowStochasticStream:
+    """The draw consumes exactly n * n uniforms in row order, so a draw in
+    row blocks (each from a copy of the generator advanced to its first
+    row) must reproduce these bytes and leave the generator here."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000, 1001])
+    def test_bytes_and_next_draw_match_serial_fill(self, n):
+        drawn, serial = _rng(4, "cash_matrix", 2), _rng(4, "cash_matrix", 2)
+        matrix = random_row_stochastic(n, drawn, np.full((n, n), np.nan))
+        expected = serial.random((n, n))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert matrix.tobytes() == expected.tobytes()
+        assert drawn.random() == serial.random()
+
+
 class TestUniformMatrix:
     def test_reproducible_and_in_range(self):
         a = uniform_matrix(2, 2, _rng(5, "matching", 1))
