@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import get_type_hints
 
 from .bank_credit import LendingBehaviour
 from .errors import ConfigError
-from .interbank import MatchingMode
+from .interbank import KeyLayout, MatchingMode
 from .ledger import ReserveBase
 from .stochastics import TriangularParams
 
@@ -73,12 +74,24 @@ class ScenarioConfig:
         def bad(key: str, message: str):
             raise ConfigError(f"{key}: {message}")
 
+        for key, name in _FIELD_NAMES.items():
+            value = getattr(self, name)
+            bounds = ((value.lower, value.peak, value.upper)
+                      if isinstance(value, TriangularParams) else (value,))
+            if not all(math.isfinite(v) for v in bounds if isinstance(v, float)):
+                bad(key, "must be finite")
         if self.seed < 0:
             bad("seed", "must be a non-negative integer")
         if self.T < 0:
             bad("T", "must be non-negative")
         if self.B < 2:
             bad("B", "need at least two banks")
+        last_period = KeyLayout(self.B).last_period
+        if last_period < 1:
+            bad("B", "too many banks to key a ledger position in 64 bits")
+        if self.T > last_period:
+            bad("T", f"at most {last_period} periods with {self.B} banks "
+                     "(a ledger key must fit in 64 bits)")
         if self.C < self.B:
             bad("C", "need at least as many customers as banks")
         if not self.A1_0 > 0:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -38,27 +36,61 @@ class MatchingMode(Enum):
     ENDOGENOUS = "endogenous"  # preferential attachment on equity and exposure
 
 
+class KeyLayout:
+    """How a ledger position packs into one Python int.
+
+    A position (issue period, lender, borrower, kind) is
+    ``period << (2*bits + 2) | lender << (bits + 2) | borrower << 2 | kind``
+    with ``bits = (B - 1).bit_length()``, so keys compare exactly as the
+    4-tuples do.  An issuance (issue period, borrower, kind) is a position
+    key with its lender bits cleared.  ``last_period`` is the largest issue
+    period whose keys, and the int64 fields decoded from them, all fit in a
+    signed 64-bit integer (-1 if none do).
+    """
+
+    def __init__(self, n_banks: int):
+        bits = (n_banks - 1).bit_length()
+        self.bank_mask = (1 << bits) - 1
+        self.lender_shift = bits + 2
+        self.period_shift = 2 * bits + 2
+        self.issue_mask = ~(self.bank_mask << self.lender_shift)
+        self.last_period = (1 << 63 - self.period_shift) - 1 if self.period_shift <= 63 else -1
+
+    def pack(self, period: int, lender: int, borrower: int, kind: int) -> int:
+        return period << self.period_shift | lender << self.lender_shift | borrower << 2 | kind
+
+    def unpack(self, key: int) -> tuple[int, int, int, LoanKind]:
+        return (key >> self.period_shift, key >> self.lender_shift & self.bank_mask,
+                key >> 2 & self.bank_mask, LoanKind(key & 3))
+
+    def fields(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (lender, borrower, issue period, kind) arrays of int64 keys."""
+        mask = self.bank_mask
+        return keys >> self.lender_shift & mask, keys >> 2 & mask, keys >> self.period_shift, keys & 3
+
+
 class InterbankLoanLedger:
     """Sparse record of outstanding interbank loans.
 
-    Positions are keyed (issue period, lender, borrower, kind), so the keys'
-    natural order is the canonical order every mutation pass iterates in.
-    Each lender's positions are also kept as a sorted list, so claims are
-    taken oldest first without sorting on every reassignment.
-    An issuance (issue period, borrower, kind) carries the borrower's
-    reserve-component weights snapshotted when it was created; repayments
-    settle against that snapshot, and it is freed when the last position of
-    its issuance closes.  Positions that share a key merge, which keeps the
-    ledger size bounded no matter how often claims get reassigned between
-    creditors.
+    Positions are keyed by one int that packs (issue period, lender,
+    borrower, kind) (see ``KeyLayout``), so the keys' natural order is the
+    canonical order every mutation pass iterates in.  Each lender's
+    positions are also kept as a sorted list, so claims are taken oldest
+    first without sorting on every reassignment.
+    An issuance carries the borrower's reserve-component weights
+    snapshotted when it was created; repayments settle against that
+    snapshot, and it is freed when the last position of its issuance
+    closes.  Positions that share a key merge, which keeps the ledger size
+    bounded no matter how often claims get reassigned between creditors.
     """
 
     def __init__(self, n_banks: int):
         self.n_banks = n_banks
-        self._amounts: dict[tuple[int, int, int, LoanKind], float] = {}
-        self._weights: dict[tuple[int, int, LoanKind], tuple[float, float, float]] = {}
-        self._live: dict[tuple[int, int, LoanKind], int] = {}  # open positions per issuance
-        self._by_lender: list[list] = [[] for _ in range(n_banks)]  # sorted keys
+        self.layout = KeyLayout(n_banks)
+        self._amounts: dict[int, float] = {}
+        self._weights: dict[int, tuple[float, float, float]] = {}  # by issuance key
+        self._live: dict[int, int] = {}  # open positions per issuance
+        self._by_lender: list[list[int]] = [[] for _ in range(n_banks)]  # sorted keys
 
     def __len__(self) -> int:
         return len(self._amounts)
@@ -74,54 +106,54 @@ class InterbankLoanLedger:
             return
         if lender == borrower:
             raise LedgerError("a bank cannot lend to itself")
-        key = (int(period), int(lender), int(borrower), kind)
-        issue = (key[0], key[2], kind)
+        if not (0 <= lender < self.n_banks and 0 <= borrower < self.n_banks):
+            raise LedgerError(f"no bank {lender} or {borrower} among {self.n_banks}")
+        key = self.layout.pack(int(period), int(lender), int(borrower), kind)
+        issue = key & self.layout.issue_mask
         existing = self._weights.get(issue)
         if existing is None:
             self._weights[issue] = tuple(map(float, weights))
         elif existing is not weights and existing != tuple(weights):
-            raise LedgerError(f"conflicting weight snapshots for issuance {issue}")
+            raise LedgerError(f"conflicting weight snapshots for issuance "
+                              f"{(period, borrower, kind)}")
         if key in self._amounts:
             self._amounts[key] += float(amount)
         else:
             self._amounts[key] = float(amount)
             self._live[issue] = self._live.get(issue, 0) + 1
-            insort(self._by_lender[key[1]], key)
+            insort(self._by_lender[lender], key)
 
-    def amount(self, key) -> float:
+    def amount(self, key: int) -> float:
         return self._amounts.get(key, 0.0)
 
-    def weights_for(self, key) -> tuple[float, float, float]:
-        return self._weights[(key[0], key[2], key[3])]
+    def weights_for(self, key: int) -> tuple[float, float, float]:
+        return self._weights[key & self.layout.issue_mask]
 
-    def reduce(self, key, amount: float) -> None:
+    def reduce(self, key: int, amount: float) -> None:
         left = self._amounts[key] - amount
         if left > 0.0:
             self._amounts[key] = left
             return
         del self._amounts[key]
-        held = self._by_lender[key[1]]
+        held = self._by_lender[key >> self.layout.lender_shift & self.layout.bank_mask]
         del held[bisect_left(held, key)]
-        issue = (key[0], key[2], key[3])
+        issue = key & self.layout.issue_mask
         self._live[issue] -= 1
         if not self._live[issue]:
             del self._live[issue], self._weights[issue]
 
-    def sorted_keys(self) -> list:
+    def sorted_keys(self) -> list[int]:
         """All outstanding positions in canonical order."""
         return sorted(self._amounts)
 
-    def lender_sums(self) -> np.ndarray:
-        return self._sums_by(1)
-
-    def borrower_sums(self) -> np.ndarray:
-        return self._sums_by(2)
-
-    def _sums_by(self, field: int) -> np.ndarray:
+    def bank_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """What each bank has lent and borrowed, summed in insertion order."""
         n = len(self._amounts)
-        banks = np.fromiter(map(itemgetter(field), self._amounts), dtype=np.intp, count=n)
+        keys = np.fromiter(self._amounts, dtype=np.int64, count=n)
         amounts = np.fromiter(self._amounts.values(), dtype=float, count=n)
-        return np.bincount(banks, weights=amounts, minlength=self.n_banks)
+        lenders, borrowers, _, _ = self.layout.fields(keys)
+        return (np.bincount(lenders, weights=amounts, minlength=self.n_banks),
+                np.bincount(borrowers, weights=amounts, minlength=self.n_banks))
 
     def total(self) -> float:
         return float(sum(self._amounts.values()))
@@ -143,47 +175,102 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
-        held = self._by_lender[from_bank][:]  # a copy: taking claims edits the list
-        rest = chain((k for k in held if k[2] != to_bank),
-                     (k for k in held if k[2] == to_bank) if include_self else ())
+        held = self._by_lender[from_bank]
+        on_self = to_bank << 2
+        borrower_field = self.layout.bank_mask << 2
 
         # min(requested, sum of every candidate): float partial sums of
         # positive amounts never decrease, so the scan stops once they reach
-        # requested.  The loop below takes the claims it picked and goes on
-        # in the same order past them, since moved can end a rounding step
-        # short of take; the prefix is scanned once.
+        # requested.  Only the picked prefix is collected; held is not
+        # edited until the scan is over.
         amounts = self._amounts
         picked = []
         take = 0.0
-        for key in rest:
-            picked.append(key)
-            take += amounts[key]
-            if take >= requested:
-                take = requested
-                break
+        for key in held:
+            if key & borrower_field != on_self:
+                picked.append(key)
+                take += amounts[key]
+                if take >= requested:
+                    take = requested
+                    break
+        else:
+            if include_self:
+                for key in held:
+                    if key & borrower_field == on_self:
+                        picked.append(key)
+                        take += amounts[key]
+                        if take >= requested:
+                            take = requested
+                            break
         if take <= 0:
             return 0.0, 0.0
-        moved = 0.0
-        cancelled = 0.0
-        for key in chain(picked, rest):
-            part = min(take - moved, amounts[key])
+        moved, cancelled = self._take(picked, held, to_bank, take, 0.0, 0.0)
+        if moved < take:
+            # A rounding step ended the prefix short of take: go on in the
+            # same order past the picked claims.
+            skip = set(picked)
+            rest = [k for k in held if k & borrower_field != on_self and k not in skip]
+            if include_self:
+                rest += [k for k in held if k & borrower_field == on_self and k not in skip]
+            moved, cancelled = self._take(rest, held, to_bank, take, moved, cancelled)
+        return moved, cancelled
+
+    def _take(self, keys: list[int], held: list[int], to_bank: int, take: float,
+              moved: float, cancelled: float) -> tuple[float, float]:
+        """Take claims in ``keys`` order, from the sorted list ``held`` of
+        their lender, until ``moved`` reaches ``take``: a claim on to_bank
+        is cancelled, any other is rebooked to it.
+
+        This is ``reduce`` then ``add`` with both inlined.  The rebooked
+        part is a positive float of a position that keeps its issuance, so
+        nothing is converted and the stored snapshot stays; a claim that
+        moves whole leaves its issuance's live count as it was.
+        """
+        amounts, live, weights, layout = self._amounts, self._live, self._weights, self.layout
+        to_held = self._by_lender[to_bank]
+        on_self = to_bank << 2
+        borrower_field = layout.bank_mask << 2
+        to_lender = to_bank << layout.lender_shift
+        clear_lender = layout.issue_mask
+        for key in keys:
+            amount = amounts[key]
+            part = min(take - moved, amount)
             if part <= 0:
                 break
-            period, _, borrower, kind = key
-            weights = self._weights[period, borrower, kind]  # before reduce, which may free it
-            self.reduce(key, part)
-            if borrower == to_bank:
-                cancelled += part
+            left = amount - part
+            closed = not left > 0.0
+            if closed:
+                del amounts[key]
+                del held[bisect_left(held, key)]
             else:
-                self.add(to_bank, borrower, period, kind, part, weights)
+                amounts[key] = left
+            issue = key & clear_lender
+            if key & borrower_field == on_self:
+                cancelled += part
+                if closed:
+                    live[issue] -= 1
+                    if not live[issue]:
+                        del live[issue], weights[issue]
+            else:
+                new = issue | to_lender
+                if new in amounts:
+                    amounts[new] += part
+                    if closed:
+                        live[issue] -= 1  # the merged position keeps it open
+                else:
+                    amounts[new] = part
+                    insort(to_held, new)
+                    if not closed:
+                        live[issue] += 1
             moved += part
         return moved, cancelled
 
     def check_consistency(self, banks: BankBalanceSheets) -> float:
         """Check that per-bank ledger sums match a3/l3; returns the worst
         relative residual and raises LedgerError past ``TOL``."""
-        return worst_residual({"ledger a3": np.abs(self.lender_sums() - banks.a3),
-                               "ledger l3": np.abs(self.borrower_sums() - banks.l3)},
+        lent, borrowed = self.bank_sums()
+        return worst_residual({"ledger a3": np.abs(lent - banks.a3),
+                               "ledger l3": np.abs(borrowed - banks.l3)},
                               banks, LedgerError)
 
 
@@ -220,10 +307,10 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     the spot as a fresh loan from the same lender.  No reserve component is
     ever driven negative and the ledger keeps matching the sheets exactly.
     """
+    layout = loans.layout
     keys = loans.sorted_keys()
-    keys = keys[:bisect_left(keys, (period,))]  # issued before this period
-    fields = (np.fromiter(map(itemgetter(i), keys), dtype=np.int64, count=len(keys))
-              for i in (1, 2, 0, 3))  # lender, borrower, issue period, kind
+    keys = keys[:bisect_left(keys, period << layout.period_shift)]  # issued before this period
+    fields = layout.fields(np.fromiter(keys, dtype=np.int64, count=len(keys)))
     draws = keyed_threshold_draw(decision_seed, period, *fields)
     due = [(keys[i], loans.amount(keys[i])) for i in np.flatnonzero(draws > omega)]
     if not due:
@@ -246,7 +333,8 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
         amount = min(frozen, loans.amount(key))
         if amount <= 0:
             continue
-        _, lender, borrower, _ = key
+        lender = key >> layout.lender_shift & layout.bank_mask
+        borrower = key >> 2 & layout.bank_mask
         w1, w2, w3 = loans.weights_for(key)
         leg1, leg2, leg3 = amount * w1, amount * w2, amount * w3
         a1_leg = min(leg1, max(a1[borrower], 0.0))

@@ -1,8 +1,12 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from minibank import (
     ConfigError,
     LendingBehaviour,
+    LoanKind,
     MatchingMode,
     ReserveBase,
     ScenarioConfig,
@@ -18,6 +22,7 @@ from minibank import (
 from minibank.artifacts import AGGREGATE_HEADER, FIGURE_COLUMNS, PER_BANK_HEADER
 from minibank.cli import main
 from minibank.config import parse_config_text
+from minibank.interbank import KeyLayout
 
 
 class TestPresets:
@@ -105,11 +110,45 @@ class TestKeyValueFormat:
         ("A4_0", "-1"),
         ("matching", "endogenous"),  # without alpha
         ("lambda", "0"),             # under endogenous matching with alpha = 1
+        ("l5_spread", "inf"),        # every float key and triangular bound is finite
+        ("l5_spread", "nan"),
+        ("A1_0", "inf"),
+        ("A4_0", "nan"),
+        ("xi2", "nan"),
+        ("gamma_TR_noise", "inf"),
+        ("r_L2", "inf"),
+        ("r_A1", "0, 0.01, inf"),
+        ("alpha", "inf"),
     ])
     def test_out_of_range_values(self, key, value):
         endogenous = [("matching", "endogenous"), ("alpha", "1")] if key == "lambda" else []
         with pytest.raises(ConfigError):
             config_from_pairs([("seed", "1"), *endogenous, (key, value)])
+
+    def test_key_layout_bounds_banks_and_periods(self):
+        def config(B, T):
+            return config_from_pairs([("seed", "1"), ("B", str(B)), ("C", str(B)),
+                                      ("T", str(T))])
+
+        # the last period a 100-bank key can carry fits int64, one more does not
+        last = KeyLayout(100).last_period
+        assert config(100, last).T == last
+        with pytest.raises(ConfigError, match="^T: "):
+            config(100, last + 1)
+        # 2**30 banks leave one bit for the period; one more bank leaves none
+        assert config(2**30, 1).B == 2**30
+        with pytest.raises(ConfigError, match="^T: "):
+            config(2**30, 2)
+        with pytest.raises(ConfigError, match="^B: "):
+            config(2**30 + 1, 0)
+        for B, T in ((100, last), (2**30, 1)):
+            layout = KeyLayout(B)
+            key = layout.pack(T, B - 1, B - 2, LoanKind.ROLLOVER)
+            assert layout.unpack(key) == (T, B - 1, B - 2, LoanKind.ROLLOVER)
+            fields = layout.fields(np.fromiter([key], dtype=np.int64, count=1))
+            assert [f.item() for f in fields] == [B - 1, B - 2, T, LoanKind.ROLLOVER]
+            with pytest.raises(OverflowError):
+                np.fromiter([layout.pack(T + 1, 0, 0, 0)], dtype=np.int64, count=1)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# scenario\n\nseed = 9\nphi = 0.4\n"
@@ -248,6 +287,23 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --config: cannot read ")
+
+    @pytest.mark.parametrize("key,sets", [
+        # an infinite spread once ran into NumPy warnings and a NaN residual
+        ("l5_spread", ["B=4", "C=40", "T=5", "l5_spread=inf"]),
+        # 2**47 periods would overflow a 100-bank ledger key
+        ("T", ["B=100", "C=100", f"T={2**47}"]),
+    ])
+    def test_rejected_config_is_one_error_line(self, key, sets, tmp_path, capsys):
+        args = ["run", "--seed", "3", "--out", str(tmp_path)]
+        for pair in sets:
+            args += ["--set", pair]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         afile = tmp_path / "afile"

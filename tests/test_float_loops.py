@@ -4,13 +4,12 @@ and ledgers.
 
 The references below are the earlier ``repay_interbank_loans`` and
 ``allocate_pooled_credit``, which indexed the sheet arrays one element at a
-time.  Only the reading of a weight snapshot changed: the ledger now stores
-tuples, which the references turn back into arrays.
+time.  Only the reading of the ledger changed: it stores weight snapshots as
+tuples, which the references turn back into arrays, and keys positions by
+packed ints, which the references unpack one field at a time.
 """
 
 import dataclasses
-from bisect import bisect_left
-from operator import itemgetter
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,9 +34,8 @@ PERIOD = 4
 
 
 def _reference_repay(banks, loans, omega, base, period, decision_seed):
-    keys = loans.sorted_keys()
-    keys = keys[:bisect_left(keys, (period,))]
-    fields = (np.fromiter(map(itemgetter(i), keys), dtype=np.int64, count=len(keys))
+    keys = [k for k in loans.sorted_keys() if loans.layout.unpack(k)[0] < period]
+    fields = (np.array([loans.layout.unpack(k)[i] for k in keys], dtype=np.int64)
               for i in (1, 2, 0, 3))
     draws = keyed_threshold_draw(decision_seed, period, *fields)
     due = [(keys[i], loans.amount(keys[i])) for i in np.flatnonzero(draws > omega)]
@@ -52,7 +50,7 @@ def _reference_repay(banks, loans, omega, base, period, decision_seed):
         amount = min(frozen, loans.amount(key))
         if amount <= 0:
             continue
-        _, lender, borrower, _ = key
+        _, lender, borrower, _ = loans.layout.unpack(key)
         legs = amount * np.array(loans.weights_for(key))
         a1_leg = min(legs[0], max(banks.a1[borrower], 0.0))
         a2_leg = min(legs[1], max(banks.a2[borrower], 0.0))
@@ -197,8 +195,7 @@ def _books(draw):
     loans = InterbankLoanLedger(B)
     for period, lender, borrower, kind, amount in positions:
         loans.add(lender, borrower, period, kind, amount, snapshots[period, borrower, kind])
-    banks.a3[:] = loans.lender_sums()
-    banks.l3[:] = loans.borrower_sums()
+    banks.a3[:], banks.l3[:] = loans.bank_sums()
     return banks, positions, snapshots
 
 

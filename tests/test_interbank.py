@@ -24,14 +24,25 @@ from minibank import (
     run_scenario,
     sum_reserve,
 )
+from minibank.interbank import KeyLayout
 
 W_A1 = np.array([1.0, 0.0, 0.0])
 
 
 def _issuances(loans):
     """Snapshotted issuances and live ones, each as (period, borrower, kind)."""
-    live = {(period, borrower, kind) for period, _, borrower, kind in loans.sorted_keys()}
-    return set(loans._weights), live
+    unpack = loans.layout.unpack
+    live = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans.sorted_keys())}
+    snapshots = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans._weights)}
+    return snapshots, live
+
+
+def _key(loans, period, lender, borrower, kind):
+    return loans.layout.pack(period, lender, borrower, kind)
+
+
+def _tuples(loans, keys):
+    return [loans.layout.unpack(k) for k in keys]
 
 
 def _match_rng(seed=1, period=1):
@@ -51,6 +62,15 @@ class TestLedger:
         with pytest.raises(LedgerError):
             loans.add(1, 1, 0, LoanKind.WIRE, 1.0, W_A1)
 
+    def test_unknown_bank_rejected(self):
+        # a bank number past B would spill into a neighbouring key field
+        loans = InterbankLoanLedger(3)
+        with pytest.raises(LedgerError):
+            loans.add(0, 3, 1, LoanKind.WIRE, 1.0, W_A1)
+        with pytest.raises(LedgerError):
+            loans.add(-1, 2, 1, LoanKind.WIRE, 1.0, W_A1)
+        assert len(loans) == 0
+
     def test_conflicting_weight_snapshot_rejected(self):
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)
@@ -61,7 +81,7 @@ class TestLedger:
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.POOLED, 10.0, np.array([0.25, 0.25, 0.5]))
         loans.add(2, 1, 2, LoanKind.POOLED, 1.0, (0.25, 0.25, 0.5))
-        snapshot = loans.weights_for((2, 2, 1, LoanKind.POOLED))
+        snapshot = loans.weights_for(_key(loans, 2, 2, 1, LoanKind.POOLED))
         assert snapshot == (0.25, 0.25, 0.5)
         assert all(type(w) is float for w in snapshot)
         with pytest.raises(LedgerError):
@@ -71,8 +91,9 @@ class TestLedger:
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 1, LoanKind.WIRE, 10.0, W_A1)
         loans.add(2, 1, 1, LoanKind.POOLED, 4.0, W_A1)
-        assert np.array_equal(loans.lender_sums(), np.array([10.0, 0.0, 4.0]))
-        assert np.array_equal(loans.borrower_sums(), np.array([0.0, 14.0, 0.0]))
+        lent, borrowed = loans.bank_sums()
+        assert np.array_equal(lent, np.array([10.0, 0.0, 4.0]))
+        assert np.array_equal(borrowed, np.array([0.0, 14.0, 0.0]))
 
     def test_reassign_prefers_third_party_claims(self):
         loans = InterbankLoanLedger(3)
@@ -81,7 +102,7 @@ class TestLedger:
         moved, cancelled = loans.reassign_claims(0, 1, 40.0)
         assert moved == pytest.approx(40.0)
         assert cancelled == 0.0
-        assert loans.amount((1, 1, 2, LoanKind.WIRE)) == pytest.approx(40.0)
+        assert loans.amount(_key(loans, 1, 1, 2, LoanKind.WIRE)) == pytest.approx(40.0)
 
     def test_reassign_cancels_self_claims_last(self):
         loans = InterbankLoanLedger(3)
@@ -90,7 +111,7 @@ class TestLedger:
         moved, cancelled = loans.reassign_claims(0, 1, 70.0)
         assert moved == pytest.approx(70.0)
         assert cancelled == pytest.approx(40.0)  # claims on bank 1 extinguished
-        assert loans.amount((1, 0, 1, LoanKind.WIRE)) == pytest.approx(10.0)
+        assert loans.amount(_key(loans, 1, 0, 1, LoanKind.WIRE)) == pytest.approx(10.0)
 
     def test_reassign_exclude_self(self):
         loans = InterbankLoanLedger(3)
@@ -103,7 +124,7 @@ class TestLedger:
         loans.add(0, 2, 1, LoanKind.WIRE, 30.0, W_A1)
         moved, _ = loans.reassign_claims(0, 1, 100.0)
         assert moved == 30.0
-        assert loans.lender_sums()[0] == 0.0
+        assert loans.bank_sums()[0][0] == 0.0
 
     def test_sorted_keys_in_canonical_order(self):
         loans = InterbankLoanLedger(3)
@@ -113,7 +134,7 @@ class TestLedger:
         loans.add(0, 2, 1, LoanKind.POOLED, 1.0, W_A1)
         loans.add(1, 2, 1, LoanKind.WIRE, 1.0, W_A1)
         loans.add(0, 1, 2, LoanKind.POOLED, 1.0, W_A1)
-        assert loans.sorted_keys() == [
+        assert _tuples(loans, loans.sorted_keys()) == [
             (1, 0, 2, LoanKind.POOLED),
             (1, 1, 2, LoanKind.WIRE),
             (1, 2, 0, LoanKind.WIRE),
@@ -126,9 +147,9 @@ class TestLedger:
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)
         loans.add(2, 1, 2, LoanKind.WIRE, 5.0, W_A1)
-        loans.reduce((2, 0, 1, LoanKind.WIRE), 10.0)
+        loans.reduce(_key(loans, 2, 0, 1, LoanKind.WIRE), 10.0)
         assert _issuances(loans) == ({(2, 1, LoanKind.WIRE)},) * 2
-        loans.reduce((2, 2, 1, LoanKind.WIRE), 5.0)
+        loans.reduce(_key(loans, 2, 2, 1, LoanKind.WIRE), 5.0)
         assert _issuances(loans) == (set(), set())
 
     def test_snapshot_follows_a_moved_claim(self):
@@ -136,9 +157,9 @@ class TestLedger:
         loans = InterbankLoanLedger(3)
         loans.add(0, 2, 1, LoanKind.POOLED, 30.0, weights)
         loans.reassign_claims(0, 1, 30.0)
-        assert loans.sorted_keys() == [(1, 1, 2, LoanKind.POOLED)]
+        assert _tuples(loans, loans.sorted_keys()) == [(1, 1, 2, LoanKind.POOLED)]
         assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
-        assert np.array_equal(loans.weights_for((1, 1, 2, LoanKind.POOLED)), weights)
+        assert np.array_equal(loans.weights_for(_key(loans, 1, 1, 2, LoanKind.POOLED)), weights)
         loans.reassign_claims(1, 2, 30.0)  # back to the borrower: cancelled
         assert _issuances(loans) == (set(), set())
 
@@ -156,10 +177,11 @@ def _reference_reassign(loans, from_bank, to_bank, requested, include_self=True)
     the algorithm the ledger's lazy prefix scan must match bit for bit."""
     if requested <= 0:
         return 0.0, 0.0
-    held = [k for k in loans.sorted_keys() if k[1] == from_bank]
+    held = [k for k in _tuples(loans, loans.sorted_keys()) if k[1] == from_bank]
     keys = [k for k in held if k[2] != to_bank]
     if include_self:
         keys += [k for k in held if k[2] == to_bank]
+    keys = [_key(loans, *k) for k in keys]
     if not keys:
         return 0.0, 0.0
     available = sum(loans.amount(k) for k in keys)
@@ -172,7 +194,7 @@ def _reference_reassign(loans, from_bank, to_bank, requested, include_self=True)
         part = min(take - moved, loans.amount(key))
         if part <= 0:
             break
-        period, _, borrower, kind = key
+        period, _, borrower, kind = loans.layout.unpack(key)
         weights = loans.weights_for(key)
         loans.reduce(key, part)
         if borrower == to_bank:
@@ -194,41 +216,67 @@ def test_reassign_takes_rounding_dust_from_the_next_claim():
             loans.add(0, borrower, borrower, LoanKind.WIRE, amount, W_A1)
     got = ledger.reassign_claims(0, 4, request)
     assert got == _reference_reassign(reference, 0, 4, request)
-    assert ledger.amount((3, 4, 3, LoanKind.WIRE)) > 0.0
+    assert ledger.amount(_key(ledger, 3, 4, 3, LoanKind.WIRE)) > 0.0
     assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
         {k: reference.amount(k) for k in reference.sorted_keys()}
 
 
 # dust next to unit amounts makes partial sums round
 _AMOUNTS = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.1, 0.2, 0.3, 3e-17, 1e-16, 1.0 + 2**-52]))
-_POSITIONS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-                                st.sampled_from(list(LoanKind)), _AMOUNTS)
-                      .filter(lambda p: p[1] != p[2]), min_size=1, max_size=25)
+def _positions(n_banks):
+    bank = st.integers(0, n_banks - 1)
+    return st.lists(st.tuples(st.integers(0, 3), bank, bank, st.sampled_from(list(LoanKind)),
+                              _AMOUNTS).filter(lambda p: p[1] != p[2]), min_size=1, max_size=25)
 
 
-@given(_POSITIONS, st.integers(0, 3), st.integers(1, 3), st.booleans(), st.data())
+@given(st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_reassign_matches_sort_and_sum_reference(positions, from_bank, shift, include_self, data):
-    to_bank = (from_bank + shift) % 4
-    ledger, reference = InterbankLoanLedger(4), InterbankLoanLedger(4)
-    for period, lender, borrower, kind, amount in positions:
-        for loans in (ledger, reference):
-            loans.add(lender, borrower, period, kind, amount, W_A1)
-    # a request inside or at the end of one candidate claim, nudged by up to two ulps
-    held = [k for k in reference.sorted_keys() if k[1] == from_bank]
-    order = [k for k in held if k[2] != to_bank] + [k for k in held if k[2] == to_bank]
-    amounts = [reference.amount(k) for k in order] or [1.0]
-    k = data.draw(st.integers(0, len(amounts) - 1))
-    at = sum(amounts[:k]) + data.draw(st.floats(0, 1)) * amounts[k]
-    request = float(at + data.draw(st.integers(-2, 2)) * np.spacing(at))
+def test_reassign_matches_sort_and_sum_reference(include_self, data):
+    # B=5 packs each bank into three bits, one of them never set at B=4
+    for n_banks in (4, 5):
+        positions = data.draw(_positions(n_banks))
+        from_bank = data.draw(st.integers(0, n_banks - 1))
+        to_bank = (from_bank + data.draw(st.integers(1, n_banks - 1))) % n_banks
+        ledger, reference = InterbankLoanLedger(n_banks), InterbankLoanLedger(n_banks)
+        for period, lender, borrower, kind, amount in positions:
+            for loans in (ledger, reference):
+                loans.add(lender, borrower, period, kind, amount, W_A1)
+        # a request inside or at the end of one candidate claim, nudged by up to two ulps
+        held = [k for k in _tuples(reference, reference.sorted_keys()) if k[1] == from_bank]
+        order = [k for k in held if k[2] != to_bank] + [k for k in held if k[2] == to_bank]
+        amounts = [reference.amount(_key(reference, *k)) for k in order] or [1.0]
+        k = data.draw(st.integers(0, len(amounts) - 1))
+        at = sum(amounts[:k]) + data.draw(st.floats(0, 1)) * amounts[k]
+        request = float(at + data.draw(st.integers(-2, 2)) * np.spacing(at))
 
-    got = ledger.reassign_claims(from_bank, to_bank, request, include_self)
-    want = _reference_reassign(reference, from_bank, to_bank, request, include_self)
-    assert got == want
-    assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
-        {k: reference.amount(k) for k in reference.sorted_keys()}
-    for bank in range(4):
-        assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys() if k[1] == bank]
+        got = ledger.reassign_claims(from_bank, to_bank, request, include_self)
+        want = _reference_reassign(reference, from_bank, to_bank, request, include_self)
+        assert got == want
+        assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
+            {k: reference.amount(k) for k in reference.sorted_keys()}
+        for bank in range(n_banks):
+            assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys()
+                                               if ledger.layout.unpack(k)[1] == bank]
+
+
+@pytest.mark.parametrize("n_banks", [2, 3, 4, 5, 64, 65, 100])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_keys_sort_as_tuples_and_round_trip(n_banks, data):
+    layout = KeyLayout(n_banks)
+    bank = st.integers(0, n_banks - 1)
+    period = st.one_of(st.integers(0, 3), st.integers(0, layout.last_period),
+                       st.just(layout.last_period))
+    tuples = data.draw(st.lists(st.tuples(period, bank, bank, st.sampled_from(list(LoanKind))),
+                                min_size=1, max_size=30))
+    keys = [layout.pack(*t) for t in tuples]
+    assert [layout.unpack(k) for k in keys] == tuples
+    assert sorted(keys) == [layout.pack(*t) for t in sorted(tuples)]
+    for (period, _, borrower, kind), key in zip(tuples, keys):
+        assert key & layout.issue_mask == layout.pack(period, 0, borrower, kind)
+    fields = layout.fields(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    columns = list(zip(*tuples))
+    assert [f.tolist() for f in fields] == [list(columns[i]) for i in (1, 2, 0, 3)]
 
 
 def test_snapshots_live_exactly_as_long_as_their_issuance():
@@ -302,7 +350,7 @@ class TestInterbankRepayment:
         assert banks.a3[0] == pytest.approx(70.0)
         assert banks.l3[1] == pytest.approx(70.0)
         loans.check_consistency(banks)
-        key = (5, 0, 1, LoanKind.ROLLOVER)
+        key = _key(loans, 5, 0, 1, LoanKind.ROLLOVER)
         assert loans.amount(key) == pytest.approx(70.0)
 
     def test_identity_preserved_through_settlement(self):
@@ -411,7 +459,7 @@ class TestAllocation:
         state = compute_pooling_state(banks, ReserveBase.NARROW, 0.1, 0.0,
                                       MatchingMode.EXOGENOUS, _match_rng())
         allocate_pooled_credit(banks, loans, state, 1)
-        assert loans.lender_sums()[0] <= state.excess[0] * (1 + 1e-12)
+        assert loans.bank_sums()[0][0] <= state.excess[0] * (1 + 1e-12)
 
     def test_borrower_never_borrows_beyond_need(self):
         banks = _pooling_sheet()
@@ -421,7 +469,7 @@ class TestAllocation:
                                       MatchingMode.EXOGENOUS, _match_rng())
         unmet, _ = allocate_pooled_credit(banks, loans, state, 1)
         assert np.all(unmet == pytest.approx(0.0))
-        assert loans.borrower_sums()[1] <= state.need[1] * (1 + 1e-12)
+        assert loans.bank_sums()[1][1] <= state.need[1] * (1 + 1e-12)
 
     def test_no_transfer_mode_books_positions_only(self):
         banks = _pooling_sheet()
@@ -502,7 +550,7 @@ class TestClaimCountingAllocation:
         assert unmet[2] == pytest.approx(0.0, abs=1e-9)
         # excess first (90 and 10), then the gap pro rata to what is left
         # to pay with (10 and 990)
-        assert loans.lender_sums()[:2] == pytest.approx([94.0, 406.0])
+        assert loans.bank_sums()[0][:2] == pytest.approx([94.0, 406.0])
         loans.check_consistency(banks)
 
     def test_pair_that_fails_to_trade_leaves_its_gap_share(self):

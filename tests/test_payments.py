@@ -134,8 +134,8 @@ class TestWireTransfers:
         assert banks.a3[1] == pytest.approx(100.0)
         assert stats.issued_volume == pytest.approx(100.0)
         # the receiving bank lent the net: one ledger position, lender 1 -> borrower 0
-        assert loans.lender_sums()[1] == pytest.approx(100.0)
-        assert loans.borrower_sums()[0] == pytest.approx(100.0)
+        assert loans.bank_sums()[0][1] == pytest.approx(100.0)
+        assert loans.bank_sums()[1][0] == pytest.approx(100.0)
         check_identities(banks, book)
         loans.check_consistency(banks)
 
