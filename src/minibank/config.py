@@ -196,13 +196,16 @@ def preset_names() -> tuple[str, ...]:
     return tuple(PRESETS)
 
 
-def get_preset(name: str, seed: int, **overrides) -> ScenarioConfig:
-    """Named preset expanded to a full config; explicit overrides win."""
+def _preset_fields(name: str) -> dict:
+    """A preset's fields, with its name; raises ConfigError for an unknown one."""
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown preset {name!r} (see `minibank presets`)")
-    fields = dict(PRESETS[name])
-    fields.update(overrides)
-    return ScenarioConfig(seed=seed, preset=name, **fields).validate()
+    return {**PRESETS[name], "preset": name}
+
+
+def get_preset(name: str, seed: int, **overrides) -> ScenarioConfig:
+    """Named preset expanded to a full config; explicit overrides win."""
+    return ScenarioConfig(seed=seed, **{**_preset_fields(name), **overrides}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +345,7 @@ def config_from_pairs(pairs) -> ScenarioConfig:
             raise ConfigError(f"unknown key {key!r}")
         explicit[_FIELD_NAMES[key]] = _parse_value(key, raw)
 
-    fields: dict = {}
-    if preset_name:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {preset_name!r}")
-        fields.update(PRESETS[preset_name])
-        fields["preset"] = preset_name
+    fields = _preset_fields(preset_name) if preset_name else {}
     fields.update(explicit)
     if "seed" not in fields:
         raise ConfigError("seed: missing (a seed is mandatory; runs never seed from the clock)")

@@ -75,8 +75,10 @@ class InterbankLoanLedger:
     Positions are keyed by one int that packs (issue period, lender,
     borrower, kind) (see ``KeyLayout``), so the keys' natural order is the
     canonical order every mutation pass iterates in.  Each lender's
-    positions are also kept as a sorted list, so claims are taken oldest
-    first without sorting on every reassignment.
+    positions are also kept as a sorted list, so a reassignment walks them
+    oldest first without sorting: one scan finds the take, one walk rebooks
+    claims on third banks and, if they fall short, one more cancels claims
+    on the receiver.
     An issuance carries the borrower's reserve-component weights
     snapshotted when it was created; repayments settle against that
     snapshot, and it is freed when the last position of its issuance
@@ -175,20 +177,17 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
+        amounts, live, layout = self._amounts, self._live, self.layout
         held = self._by_lender[from_bank]
         on_self = to_bank << 2
-        borrower_field = self.layout.bank_mask << 2
+        borrower_field = layout.bank_mask << 2
 
-        # min(requested, sum of every candidate): float partial sums of
-        # positive amounts never decrease, so the scan stops once they reach
-        # requested.  Only the picked prefix is collected; held is not
-        # edited until the scan is over.
-        amounts = self._amounts
-        picked = []
+        # The take is min(requested, sum of every candidate): float partial
+        # sums of positive amounts never decrease, so the scan stops once
+        # they reach requested.
         take = 0.0
         for key in held:
             if key & borrower_field != on_self:
-                picked.append(key)
                 take += amounts[key]
                 if take >= requested:
                     take = requested
@@ -197,72 +196,64 @@ class InterbankLoanLedger:
             if include_self:
                 for key in held:
                     if key & borrower_field == on_self:
-                        picked.append(key)
                         take += amounts[key]
                         if take >= requested:
                             take = requested
                             break
         if take <= 0:
             return 0.0, 0.0
-        moved, cancelled = self._take(picked, held, to_bank, take, 0.0, 0.0)
-        if moved < take:
-            # A rounding step ended the prefix short of take: go on in the
-            # same order past the picked claims.
-            skip = set(picked)
-            rest = [k for k in held if k & borrower_field != on_self and k not in skip]
-            if include_self:
-                rest += [k for k in held if k & borrower_field == on_self and k not in skip]
-            moved, cancelled = self._take(rest, held, to_bank, take, moved, cancelled)
-        return moved, cancelled
 
-    def _take(self, keys: list[int], held: list[int], to_bank: int, take: float,
-              moved: float, cancelled: float) -> tuple[float, float]:
-        """Take claims in ``keys`` order, from the sorted list ``held`` of
-        their lender, until ``moved`` reaches ``take``: a claim on to_bank
-        is cancelled, any other is rebooked to it.
-
-        This is ``reduce`` then ``add`` with both inlined.  The rebooked
-        part is a positive float of a position that keeps its issuance, so
-        nothing is converted and the stored snapshot stays; a claim that
-        moves whole leaves its issuance's live count as it was.
-        """
-        amounts, live, weights, layout = self._amounts, self._live, self._weights, self.layout
+        # Rebook claims on third banks to to_bank: reduce then add, inlined.
+        # The rebooked part is a positive float of a position that keeps its
+        # issuance, so nothing is converted and the stored snapshot stays; a
+        # claim that moves whole leaves its issuance's live count as it was.
+        # Where rounding ends a claim short of take, the dust comes from the
+        # next claim in line.  Each walk stops as soon as moved reaches take,
+        # so every part is positive.  Closed keys leave held after the walk.
         to_held = self._by_lender[to_bank]
-        on_self = to_bank << 2
-        borrower_field = layout.bank_mask << 2
         to_lender = to_bank << layout.lender_shift
         clear_lender = layout.issue_mask
-        for key in keys:
+        moved = 0.0
+        gone = []
+        for key in held:
+            if key & borrower_field == on_self:
+                continue
             amount = amounts[key]
             part = min(take - moved, amount)
-            if part <= 0:
-                break
             left = amount - part
             closed = not left > 0.0
             if closed:
                 del amounts[key]
-                del held[bisect_left(held, key)]
+                gone.append(key)
             else:
                 amounts[key] = left
             issue = key & clear_lender
-            if key & borrower_field == on_self:
-                cancelled += part
+            new = issue | to_lender
+            if new in amounts:
+                amounts[new] += part
                 if closed:
-                    live[issue] -= 1
-                    if not live[issue]:
-                        del live[issue], weights[issue]
+                    live[issue] -= 1  # the merged position keeps it open
             else:
-                new = issue | to_lender
-                if new in amounts:
-                    amounts[new] += part
-                    if closed:
-                        live[issue] -= 1  # the merged position keeps it open
-                else:
-                    amounts[new] = part
-                    insort(to_held, new)
-                    if not closed:
-                        live[issue] += 1
+                amounts[new] = part
+                insort(to_held, new)
+                if not closed:
+                    live[issue] += 1
             moved += part
+            if moved >= take:
+                break
+        for key in gone:
+            del held[bisect_left(held, key)]
+
+        # Cancel claims on to_bank, in the same order, for what is left.
+        cancelled = 0.0
+        if include_self and moved < take:
+            for key in [k for k in held if k & borrower_field == on_self]:
+                part = min(take - moved, amounts[key])
+                self.reduce(key, part)
+                cancelled += part
+                moved += part
+                if moved >= take:
+                    break
         return moved, cancelled
 
     def check_consistency(self, banks: BankBalanceSheets) -> float:
@@ -374,7 +365,6 @@ class PoolingState:
     need: np.ndarray            # reserve shortfall per bank, zero unless below target
     target_reserve: np.ndarray  # target ratio times deposits
     weights: np.ndarray         # (B, 3) lender transfer profile
-    potential: np.ndarray       # (B, B) bool, lender rows x borrower columns
     actual: np.ndarray          # (B, B) bool, the pairs that will trade
 
 
@@ -430,7 +420,6 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
         need=need,
         target_reserve=target,
         weights=reserve_weights(banks, base),
-        potential=potential,
         actual=actual,
     )
 

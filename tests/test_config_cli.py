@@ -64,8 +64,10 @@ class TestPresets:
         assert config.phi == 0.4
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="see `minibank presets`"):
             get_preset("nope", seed=1)
+        with pytest.raises(ConfigError, match="see `minibank presets`"):
+            config_from_pairs([("preset", "nope"), ("seed", "1")])
 
 
 class TestKeyValueFormat:

@@ -6,6 +6,7 @@ acceptance master seed do not.  A change that alters the bits on purpose
 re-blesses the digests here and says why in CHANGES.md.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -137,6 +138,32 @@ def test_digests_independent_of_blas_kernel_and_simd(tmp_path):
             [sys.executable, "-c", _CHILD, str(Path(__file__).parent), str(tmp_path / f"child{i}")],
             env=env, capture_output=True, text=True, timeout=300, check=True)
         assert json.loads(child.stdout) == expected, extra
+
+
+# `@` and the NumPy and SciPy names that may dispatch to BLAS; np.outer does not.
+_BLAS_NAMES = {"@", "dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def test_no_step_calls_blas():
+    """No module of the package uses `@`, a BLAS product or anything under
+    `linalg`: the check above only runs where OpenBLAS can be swapped."""
+    found = []
+    for path in sorted(Path(minibank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = {"@"}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & _BLAS_NAMES]
+    assert not found
 
 
 # SHA-256 of config_to_text, the text that config_hash digests and the

@@ -254,6 +254,10 @@ def test_reassign_matches_sort_and_sum_reference(include_self, data):
         assert got == want
         assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
             {k: reference.amount(k) for k in reference.sorted_keys()}
+        snapshots, live = _issuances(ledger)
+        assert (snapshots, live) == _issuances(reference)
+        assert snapshots == live
+        assert ledger._live == reference._live
         for bank in range(n_banks):
             assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys()
                                                if ledger.layout.unpack(k)[1] == bank]
@@ -382,8 +386,9 @@ class TestPoolingState:
     def test_perfect_pooling_keeps_every_pair(self):
         state = compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 0.0,
                                       MatchingMode.EXOGENOUS, _match_rng())
-        assert np.array_equal(state.actual, state.potential)
-        assert state.potential.sum() == 2
+        potential = (state.excess > 0)[:, None] & (state.need > 0)[None, :]
+        assert np.array_equal(state.actual, potential)
+        assert potential.sum() == 2
 
     def test_phi_one_disables_interbank_credit(self):
         state = compute_pooling_state(_pooling_sheet(), ReserveBase.NARROW, 0.1, 1.0,
@@ -396,7 +401,7 @@ class TestPoolingState:
         state = compute_pooling_state(banks, ReserveBase.NARROW, 0.1, 0.0,
                                       MatchingMode.ENDOGENOUS, _match_rng(),
                                       alpha=1.0, lam=1.0)
-        assert state.potential.sum() == 2
+        assert ((state.excess > 0)[:, None] & (state.need > 0)[None, :]).sum() == 2
         assert not state.actual.any()  # match score collapses to zero
 
     def test_positive_equity_lender_selected(self):
