@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ScenarioConfig, config_hash, config_to_pairs
 from .engine import AGGREGATE_COLUMNS, CompareResult, EnsembleResult, METRIC_KEYS, SimulationTrace
@@ -23,6 +21,7 @@ from .ledger import ITEM_NAMES
 PER_BANK_HEADER = ("period", "bank") + ITEM_NAMES + ("profit",)
 AGGREGATE_HEADER = ("period",) + AGGREGATE_COLUMNS
 HISTOGRAM_HEADER = ("bank", "a2", "a3", "l3", "l4", "l5", "profit")
+_HISTOGRAM_ITEMS = [ITEM_NAMES.index(name) for name in HISTOGRAM_HEADER[1:-1]]
 
 # Aggregate columns backing each of the standard scenario charts.
 FIGURE_COLUMNS = {
@@ -37,17 +36,18 @@ FIGURE_COLUMNS = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header, rows) -> Path:
+def _write_csv(path: Path, header, columns) -> Path:
+    """Write one row per position of the equal-length ``columns``, which
+    hold Python ints and floats, each cell in its repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns, strict=True))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _period_columns(series, names, T: int) -> list[list]:
+    """The period column and the named series as lists."""
+    return [list(range(1, T + 1))] + [series[name].tolist() for name in names]
 
 
 def _write_manifest(path: Path, config: ScenarioConfig, wall_time: float | None) -> Path:
@@ -75,42 +75,27 @@ def emit_trace_artifacts(trace: SimulationTrace, out_dir, figure: int | None = N
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     T, B = trace.n_periods, trace.n_banks
-
-    per_bank_rows = []
-    for t in range(T):
-        for b in range(B):
-            per_bank_rows.append((t + 1, b) + tuple(trace.sheets[t, b]) + (trace.profit[t, b],))
-
-    agg = trace.aggregates
-    aggregate_rows = [(t + 1,) + tuple(agg[name][t] for name in AGGREGATE_COLUMNS)
-                      for t in range(T)]
-
-    histogram_rows = []
-    if T:
-        terminal = trace.sheets[-1]
-        for b in range(B):
-            histogram_rows.append((
-                b,
-                terminal[b, ITEM_NAMES.index("a2")],
-                terminal[b, ITEM_NAMES.index("a3")],
-                terminal[b, ITEM_NAMES.index("l3")],
-                terminal[b, ITEM_NAMES.index("l4")],
-                terminal[b, ITEM_NAMES.index("l5")],
-                trace.profit[-1, b],
-            ))
+    sheets = trace.sheets.reshape(T * B, len(ITEM_NAMES))
+    per_bank = [[t for t in range(1, T + 1) for _ in range(B)], list(range(B)) * T,
+                *sheets.T.tolist(), trace.profit.ravel().tolist()]
+    # the last period's sheets, none when T = 0
+    terminal = trace.sheets[-1:].reshape(-1, len(ITEM_NAMES))
+    histogram = [list(range(len(terminal))), *terminal[:, _HISTOGRAM_ITEMS].T.tolist(),
+                 trace.profit[-1:].ravel().tolist()]
 
     paths = {
-        "per_bank": _write_csv(out / "per_bank.csv", PER_BANK_HEADER, per_bank_rows),
-        "aggregate": _write_csv(out / "aggregate.csv", AGGREGATE_HEADER, aggregate_rows),
-        "histogram": _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, histogram_rows),
+        "per_bank": _write_csv(out / "per_bank.csv", PER_BANK_HEADER, per_bank),
+        "aggregate": _write_csv(out / "aggregate.csv", AGGREGATE_HEADER,
+                                _period_columns(trace.aggregates, AGGREGATE_COLUMNS, T)),
+        "histogram": _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, histogram),
         "manifest": _write_manifest(out / "manifest.txt", trace.config, wall_time),
     }
     if figure is not None:
         if figure not in FIGURE_COLUMNS:
             raise ConfigError(f"figure: expected one of {sorted(FIGURE_COLUMNS)}, got {figure}")
         columns = FIGURE_COLUMNS[figure]
-        rows = [(t + 1,) + tuple(agg[name][t] for name in columns) for t in range(T)]
-        paths["figure"] = _write_csv(out / f"figure{figure}.csv", ("period",) + columns, rows)
+        paths["figure"] = _write_csv(out / f"figure{figure}.csv", ("period",) + columns,
+                                     _period_columns(trace.aggregates, columns, T))
     return paths
 
 
@@ -120,26 +105,18 @@ def emit_ensemble_artifacts(result: EnsembleResult, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     T = len(result.mean["money_total"])
-
-    header = ["period"]
-    for name in AGGREGATE_COLUMNS:
-        header.extend((name, f"{name}_q10", f"{name}_q50", f"{name}_q90"))
-    rows = []
-    for t in range(T):
-        row = [t + 1]
-        for name in AGGREGATE_COLUMNS:
-            row.extend((result.mean[name][t], result.q10[name][t],
-                        result.q50[name][t], result.q90[name][t]))
-        rows.append(tuple(row))
-
-    metric_rows = [
-        (i, seed) + tuple(result.metrics[name][i] for name in METRIC_KEYS)
-        for i, seed in enumerate(result.seeds)
-    ]
+    quantiles = (("", result.mean), ("_q10", result.q10), ("_q50", result.q50),
+                 ("_q90", result.q90))
+    stats = {name + suffix: series[name] for name in AGGREGATE_COLUMNS
+             for suffix, series in quantiles}
+    # an explicit seed list may hold NumPy integers, whose repr is not the number
+    metrics = [list(range(result.n_seeds)), list(map(int, result.seeds)),
+               *(result.metrics[name].tolist() for name in METRIC_KEYS)]
     return {
-        "aggregate": _write_csv(out / "ensemble_aggregate.csv", tuple(header), rows),
+        "aggregate": _write_csv(out / "ensemble_aggregate.csv", ("period", *stats),
+                                _period_columns(stats, stats, T)),
         "metrics": _write_csv(out / "ensemble_metrics.csv",
-                              ("run", "seed") + METRIC_KEYS, metric_rows),
+                              ("run", "seed") + METRIC_KEYS, metrics),
         "manifest": _write_manifest(out / "manifest.txt", result.config, wall_time),
     }
 
@@ -148,8 +125,8 @@ def emit_compare_summary(compare: CompareResult, out_dir) -> Path:
     """Write the per-phi metric means of a shared-shock sweep."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = zip(compare.phis, *(compare.means(name) for name in METRIC_KEYS))
-    return _write_csv(out / "compare_summary.csv", ("phi",) + METRIC_KEYS, rows)
+    columns = [compare.phis, *(compare.means(name) for name in METRIC_KEYS)]
+    return _write_csv(out / "compare_summary.csv", ("phi",) + METRIC_KEYS, columns)
 
 
 def format_compare_table(compare: CompareResult) -> str:

@@ -234,11 +234,13 @@ def _parse_float(key: str, raw: str) -> float:
 
 def _parse_tri(key: str, raw: str) -> TriangularParams:
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 1:
-        return TriangularParams.point(_parse_float(key, parts[0]))
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"{key}: expected 'value' or 'lower, peak, upper', got {raw!r}")
-    return TriangularParams(*(_parse_float(key, p) for p in parts))
+    values = [_parse_float(key, p) for p in parts]
+    try:
+        return TriangularParams(*values) if len(values) == 3 else TriangularParams.point(*values)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _parse_bool(key: str, raw: str) -> bool:

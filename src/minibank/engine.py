@@ -77,7 +77,6 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    period: int
     sheets: np.ndarray  # (B, 10)
     profit: np.ndarray  # (B,)
     stats: dict[str, float]
@@ -185,7 +184,7 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
         "cash_gross": cash_stats.gross_volume,
         "wire_gross": wire_stats.gross_volume,
     }
-    return PeriodRecord(t, banks.snapshot(), profit, stats)
+    return PeriodRecord(banks.snapshot(), profit, stats)
 
 
 @dataclass(frozen=True)
@@ -363,15 +362,15 @@ class CompareResult:
 
 def compare_phis(config: ScenarioConfig, phis=(0.0, 0.4, 0.8), n_seeds: int = 30,
                  check: str = "period") -> CompareResult:
-    """Run the same seeds under several pooling qualities.
+    """Run the same seeds under two or more distinct pooling qualities.
 
     Every run shares the master-seed-derived seed list, so payment and
     lending shocks are identical across phi values and differences isolate
     the pooling quality.
     """
     phis = tuple(float(phi) for phi in phis)
-    if not phis or len(set(phis)) < len(phis):
-        raise ConfigError(f"phis: expected distinct values, got {list(phis)}")
+    if len(set(phis)) < max(len(phis), 2):
+        raise ConfigError(f"phis: expected distinct values, two or more, got {list(phis)}")
     seeds = derive_seeds(config.seed, n_seeds)
     results = {
         phi: run_ensemble(dataclasses.replace(config, phi=phi), seeds=seeds, check=check)

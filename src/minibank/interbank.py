@@ -101,8 +101,8 @@ class InterbankLoanLedger:
             amount: float, weights: tuple[float, float, float]) -> None:
         """Book ``amount`` on the position, merging into an open one.
 
-        ``weights`` is the issuance's snapshot, three floats; a sequence of
-        equal values (a NumPy row, say) is the same snapshot.
+        ``weights`` is the issuance's snapshot, a tuple of three floats as
+        ``reserve_weights`` gives it, and is stored as given.
         """
         if amount <= 0:
             return
@@ -114,8 +114,8 @@ class InterbankLoanLedger:
         issue = key & self.layout.issue_mask
         existing = self._weights.get(issue)
         if existing is None:
-            self._weights[issue] = tuple(map(float, weights))
-        elif existing is not weights and existing != tuple(weights):
+            self._weights[issue] = weights
+        elif existing != weights:
             raise LedgerError(f"conflicting weight snapshots for issuance "
                               f"{(period, borrower, kind)}")
         if key in self._amounts:
@@ -265,13 +265,6 @@ class InterbankLoanLedger:
                               banks, LedgerError)
 
 
-def weight_snapshots(banks: BankBalanceSheets,
-                     base: ReserveBase) -> list[tuple[float, float, float]]:
-    """Each bank's reserve weights as the ledger snapshots them, a tuple of
-    three floats; one list backs all the bookings of a phase."""
-    return list(map(tuple, reserve_weights(banks, base).tolist()))
-
-
 @dataclass(frozen=True)
 class InterbankRepaymentStats:
     repaid_volume: float
@@ -308,7 +301,7 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
         return InterbankRepaymentStats(0.0, 0, 0.0, 0.0)
 
     # One weight snapshot per phase backs every refinancing made during it.
-    rollover_weights = weight_snapshots(banks, base)
+    rollover_weights = reserve_weights(banks, base)
 
     # The loop runs on Python floats, which round as float64 does, so the
     # bits are those of the same steps on the arrays.
@@ -364,7 +357,7 @@ class PoolingState:
     excess: np.ndarray          # lendable surplus per bank, zero unless above target
     need: np.ndarray            # reserve shortfall per bank, zero unless below target
     target_reserve: np.ndarray  # target ratio times deposits
-    weights: np.ndarray         # (B, 3) lender transfer profile
+    weights: list[tuple[float, float, float]]  # lender transfer profiles
     actual: np.ndarray          # (B, B) bool, the pairs that will trade
 
 
@@ -517,9 +510,8 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     cancelled_total = 0.0
     in_base = state.base.component_mask.tolist()
     if transfer_on_issue:
-        weights = state.weights.tolist()
         for lender, borrower, amount in pairs:
-            w1, w2, _ = weights[lender]
+            w1, w2, _ = state.weights[lender]
             a1_move = min(amount * w1, max(a1[lender], 0.0))
             a2_move = min(amount * w2, max(a2[lender], 0.0))
             moved, _ = loans.reassign_claims(lender, borrower,
@@ -554,7 +546,7 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
 
     # Book the new positions once every transfer has landed, so one
     # post-transfer weight snapshot per borrower backs all of them.
-    post_weights = weight_snapshots(banks, state.base)
+    post_weights = reserve_weights(banks, state.base)
     issued = 0.0
     count = 0
     for lender, borrower, amount in pairs:

@@ -142,8 +142,11 @@ def sum_reserve(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
     return reserve_components(banks, base).sum(axis=1)
 
 
-def reserve_weights(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
-    """Per-bank share of each component in the total reserve holding.
+def reserve_weights(banks: BankBalanceSheets,
+                    base: ReserveBase) -> list[tuple[float, float, float]]:
+    """Per-bank share of each component in the total reserve holding, one
+    tuple of three floats per bank: the snapshot the interbank ledger
+    stores with an issuance.
 
     Reserve transfers settle in these proportions.  A bank holding no
     reserves at all falls back to an all-currency profile so every row
@@ -155,7 +158,7 @@ def reserve_weights(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
     empty = (totals <= 0).ravel()
     weights[empty, :] = 0.0
     weights[empty, 0] = 1.0
-    return weights
+    return list(map(tuple, weights.tolist()))
 
 
 # The relative tolerance of every state check: per-phase identities, ledger

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .interbank import InterbankLoanLedger, LoanKind, weight_snapshots
-from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase
+from .interbank import InterbankLoanLedger, LoanKind
+from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
 from .stochastics import row_loops
 
 
@@ -73,12 +73,11 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
         return CashPaymentStats(0.0)
     outflow = xi1 * book.l1
     inflow = _cash_inflow(matrix, outflow)
-    old_bank_l1 = book.bank_l1()
     book.l1 = book.l1 - outflow + inflow
     if book.l1.min() < 0:
         raise ConsistencyError("a customer cash deposit went negative")
     new_bank_l1 = book.bank_l1()
-    banks.a1 += new_bank_l1 - old_bank_l1
+    banks.a1 += new_bank_l1 - banks.l1  # banks.l1 is book.bank_l1() from before
     banks.l1 = new_bank_l1
     return CashPaymentStats(float(outflow.sum()))
 
@@ -157,7 +156,7 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
                 count += 1
         banks.a3 += add_a3
         banks.l3 += add_l3
-        weights = weight_snapshots(banks, base)
+        weights = reserve_weights(banks, base)
         for v, u, amount in entries:
             loans.add(v, u, period, LoanKind.WIRE, amount, weights[u])
 

@@ -112,10 +112,6 @@ class TriangularParams:
     def point(cls, value: float) -> "TriangularParams":
         return cls(value, value, value)
 
-    @property
-    def mean(self) -> float:
-        return (self.lower + self.peak + self.upper) / 3.0
-
 
 def sample_triangular(params: TriangularParams, rng: np.random.Generator, size=None):
     """Inverse-CDF triangular sampling, one uniform per draw.

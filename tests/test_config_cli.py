@@ -124,7 +124,8 @@ class TestKeyValueFormat:
     ])
     def test_out_of_range_values(self, key, value):
         endogenous = [("matching", "endogenous"), ("alpha", "1")] if key == "lambda" else []
-        with pytest.raises(ConfigError):
+        named = "alpha" if key == "matching" else key  # the key the message blames
+        with pytest.raises(ConfigError, match=f"^{named}: "):
             config_from_pairs([("seed", "1"), *endogenous, (key, value)])
 
     def test_key_layout_bounds_banks_and_periods(self):
@@ -278,11 +279,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --phis: ")
 
     def test_duplicate_phis_fail_cleanly(self, capsys):
-        code = main(["compare", "--preset", "baseline_perfect", "--seed", "5",
-                     "--seeds", "2", "--phis", "0,0", "--set", "T=2", "--set", "C=80",
-                     "--set", "B=4"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: phis: ")
+        # one phi orders nothing, so every trend line would hold vacuously
+        for phis in ("0,0", "0.4"):
+            code = main(["compare", "--preset", "baseline_perfect", "--seed", "5",
+                         "--seeds", "2", "--phis", phis, "--set", "T=2", "--set", "C=80",
+                         "--set", "B=4"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: phis: ") and err.count("\n") == 1, phis
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.txt"),

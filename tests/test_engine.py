@@ -107,7 +107,7 @@ class TestRunScenario:
         config = _small(seed=12)
         streams = RngStreams(config.seed)
         state = init_state(config, streams)
-        state.loans.add(0, 1, 0, LoanKind.WIRE, 1e6, np.array([1.0, 0.0, 0.0]))
+        state.loans.add(0, 1, 0, LoanKind.WIRE, 1e6, (1.0, 0.0, 0.0))
         with pytest.raises(LedgerError, match=r"^period 1, after remove_guarantees: "
                                               r"ledger a3 residual .* at bank 0$"):
             run_period(state, config, streams, check="phase")
@@ -149,6 +149,9 @@ class TestEnsembles:
         # strict trend across the sweep impossible
         with pytest.raises(ConfigError, match="phis: expected distinct values"):
             compare_phis(_small(seed=16, T=2), phis=(0.0, 0.0), n_seeds=1)
+        # one phi is no sweep: every strict trend would hold vacuously
+        with pytest.raises(ConfigError, match="phis: expected distinct values"):
+            compare_phis(_small(seed=16, T=2), phis=(0.4,), n_seeds=1)
 
     def test_ordered_seed_count_bounds(self):
         result = compare_phis(_small(seed=16, T=5), phis=(0.0, 0.8), n_seeds=3)

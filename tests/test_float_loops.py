@@ -113,7 +113,7 @@ def _reference_allocate(banks, loans, state, period, transfer_on_issue, branches
     in_base = state.base.component_mask
     if transfer_on_issue:
         for lender, borrower, amount in pairs:
-            legs = amount * state.weights[lender]
+            legs = amount * np.array(state.weights[lender])
             a1_move = min(legs[0], max(banks.a1[lender], 0.0))
             a2_move = min(legs[1], max(banks.a2[lender], 0.0))
             moved, _ = loans.reassign_claims(lender, borrower,

@@ -23,9 +23,14 @@ from minibank import (
     MatchingMode,
     ReserveBase,
     ScenarioConfig,
+    compare_phis,
     config_to_text,
+    derive_seeds,
+    emit_compare_summary,
+    emit_ensemble_artifacts,
     emit_trace_artifacts,
     get_preset,
+    run_ensemble,
     run_scenario,
 )
 
@@ -80,21 +85,57 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("preset,overrides,aggregate,per_bank",
-                         [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN])
-def test_artifact_digests(tmp_path, preset, overrides, aggregate, per_bank):
-    trace = run_scenario(get_preset(preset, seed=SEED, **overrides))
-    paths = emit_trace_artifacts(trace, tmp_path)
-    digests = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
-               for name in ("aggregate", "per_bank")}
-    assert digests == {"aggregate": aggregate, "per_bank": per_bank}
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _digests(preset, overrides, out_dir):
     trace = run_scenario(get_preset(preset, seed=SEED, **overrides))
     paths = emit_trace_artifacts(trace, out_dir)
-    return {name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
-            for name in ("aggregate", "per_bank")}
+    return {name: _sha(paths[name]) for name in ("aggregate", "per_bank")}
+
+
+@pytest.mark.parametrize("preset,overrides,aggregate,per_bank",
+                         [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN])
+def test_artifact_digests(tmp_path, preset, overrides, aggregate, per_bank):
+    assert _digests(preset, overrides, tmp_path) == {"aggregate": aggregate, "per_bank": per_bank}
+
+
+# The artifacts the goldens above do not cover, from one small config:
+# baseline_perfect, seed 3, T=5, and 3 seeds where a run is an ensemble.
+PIN_RUN = {
+    "histogram": "0ac6804aff53f87153c8a9331ebbea64784459376bd185b84828131fe9c06986",
+    "figure": "5d105e8c24de773e9c57f1f817beca671c3118deac1fadf68daf9aa4ac4cc2c2",
+}
+PIN_ENSEMBLE = {
+    "aggregate": "3949e4c9841afc598f5e7cfdd211c11c649abd198919e87d6c773fae420bf17d",
+    "metrics": "5c747871014967fa6662254ac1223fffaebead23a8fb9c7efe254aae0e4f43e5",
+}
+PIN_COMPARE = "9cffaae1d3946ab56834ee0f577b98ec06b129709c743987723114678a5960e3"
+
+
+def _pin_config():
+    return get_preset("baseline_perfect", seed=3, T=5)
+
+
+def test_histogram_and_figure_digests(tmp_path):
+    paths = emit_trace_artifacts(run_scenario(_pin_config()), tmp_path, figure=5)
+    assert {name: _sha(paths[name]) for name in PIN_RUN} == PIN_RUN
+
+
+@pytest.mark.parametrize("numpy_seeds", [False, True], ids=["int_seeds", "numpy_seeds"])
+def test_ensemble_digests(tmp_path, numpy_seeds):
+    """An explicit seed list of NumPy integers writes the same bytes."""
+    seeds = derive_seeds(_pin_config().seed, 3)
+    if numpy_seeds:
+        seeds = list(np.array(seeds, dtype=np.uint64))
+    paths = emit_ensemble_artifacts(run_ensemble(_pin_config(), seeds=seeds), tmp_path)
+    assert {name: _sha(paths[name]) for name in PIN_ENSEMBLE} == PIN_ENSEMBLE
+
+
+def test_compare_summary_digest(tmp_path):
+    path = emit_compare_summary(compare_phis(_pin_config(), n_seeds=3), tmp_path)
+    assert _sha(path) == PIN_COMPARE
 
 
 def _dynamic_openblas() -> bool:
@@ -163,6 +204,29 @@ def test_no_step_calls_blas():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names & _BLAS_NAMES]
+    assert not found
+
+
+
+def test_no_unused_imports():
+    """Every name a module of the package imports is read somewhere in it
+    (``__init__`` re-exports, so it is left out)."""
+    found = []
+    for path in sorted(Path(minibank.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
     assert not found
 
 

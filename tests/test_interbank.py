@@ -26,7 +26,7 @@ from minibank import (
 )
 from minibank.interbank import KeyLayout
 
-W_A1 = np.array([1.0, 0.0, 0.0])
+W_A1 = (1.0, 0.0, 0.0)
 
 
 def _issuances(loans):
@@ -75,12 +75,12 @@ class TestLedger:
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)
         with pytest.raises(LedgerError):
-            loans.add(2, 1, 2, LoanKind.WIRE, 1.0, np.array([0.5, 0.0, 0.5]))
+            loans.add(2, 1, 2, LoanKind.WIRE, 1.0, (0.5, 0.0, 0.5))
 
     def test_snapshot_is_a_tuple_of_floats_compared_by_value(self):
         loans = InterbankLoanLedger(3)
-        loans.add(0, 1, 2, LoanKind.POOLED, 10.0, np.array([0.25, 0.25, 0.5]))
-        loans.add(2, 1, 2, LoanKind.POOLED, 1.0, (0.25, 0.25, 0.5))
+        loans.add(0, 1, 2, LoanKind.POOLED, 10.0, (0.25, 0.25, 0.5))
+        loans.add(2, 1, 2, LoanKind.POOLED, 1.0, tuple([0.25, 0.25, 0.5]))
         snapshot = loans.weights_for(_key(loans, 2, 2, 1, LoanKind.POOLED))
         assert snapshot == (0.25, 0.25, 0.5)
         assert all(type(w) is float for w in snapshot)
@@ -153,13 +153,13 @@ class TestLedger:
         assert _issuances(loans) == (set(), set())
 
     def test_snapshot_follows_a_moved_claim(self):
-        weights = np.array([0.25, 0.25, 0.5])
+        weights = (0.25, 0.25, 0.5)
         loans = InterbankLoanLedger(3)
         loans.add(0, 2, 1, LoanKind.POOLED, 30.0, weights)
         loans.reassign_claims(0, 1, 30.0)
         assert _tuples(loans, loans.sorted_keys()) == [(1, 1, 2, LoanKind.POOLED)]
         assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
-        assert np.array_equal(loans.weights_for(_key(loans, 1, 1, 2, LoanKind.POOLED)), weights)
+        assert loans.weights_for(_key(loans, 1, 1, 2, LoanKind.POOLED)) == weights
         loans.reassign_claims(1, 2, 30.0)  # back to the borrower: cancelled
         assert _issuances(loans) == (set(), set())
 
@@ -292,6 +292,9 @@ def test_snapshots_live_exactly_as_long_as_their_issuance():
         snapshots, live = _issuances(state.loans)
         assert len(snapshots) == len(live), f"period {state.period}"
         assert snapshots == live
+        assert all(type(weights) is tuple and len(weights) == 3
+                   and all(type(w) is float for w in weights)
+                   for weights in state.loans._weights.values())
 
 
 def _sheet_with_loan(amount=100.0, borrower_a1=150.0):
