@@ -11,7 +11,7 @@ independently seeded runs and merge afterwards.
 from __future__ import annotations
 
 import dataclasses
-import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +69,11 @@ class SimulationState:
     banks: BankBalanceSheets
     book: CustomerBook
     loans: InterbankLoanLedger
-    # The payment matrices, redrawn in place every period, or drawn once
-    # in the first period under fixed_payment_matrix.
-    cash_matrix: np.ndarray  # (C, C)
-    wire_matrix: np.ndarray  # (B, B)
+    # Under fixed_payment_matrix, the first period's cash matrix (as copies
+    # of its row blocks) and wire matrix, replayed every period.  Otherwise
+    # None: both are drawn afresh each period, the cash matrix block by
+    # block as it is settled, so no (C, C) array is ever held.
+    fixed_payments: tuple[list[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,16 @@ class PeriodRecord:
 
 def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     banks, book = initialise(config, streams.stream("assignment", 0))
-    C = config.C
-    # A private anonymous mapping of its own, not the heap: it goes back to
-    # the OS when the run's state is dropped, wherever malloc's mmap
-    # threshold stands.
-    cash_matrix = np.frombuffer(mmap.mmap(-1, 8 * C * C, flags=mmap.MAP_PRIVATE)).reshape(C, C)
-    return SimulationState(0, banks, book, InterbankLoanLedger(config.B),
-                           cash_matrix, np.empty((config.B, config.B)))
+    return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
+
+
+def _draw_payments(config: ScenarioConfig, streams: RngStreams,
+                   key: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
+    """The cash matrix's row blocks, not yet drawn, and the wire matrix.
+    The wire matrix is stacked from copies, since the blocks share a buffer."""
+    cash = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
+    wire = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
+    return cash, np.concatenate([block.copy() for block in wire])
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
@@ -127,13 +131,16 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
 
     target_ratio = draw_target_ratios(config, streams.stream("target_ratio", t))
 
-    if not config.fixed_payment_matrix or t == 1:
-        key = 0 if config.fixed_payment_matrix else t
-        random_row_stochastic(config.C, streams.stream("cash_matrix", key), state.cash_matrix)
-        random_row_stochastic(config.B, streams.stream("wire_matrix", key), state.wire_matrix)
-    cash_stats = settle_cash_payments(banks, book, state.cash_matrix, config.xi1)
+    if not config.fixed_payment_matrix:
+        cash_blocks, wire_matrix = _draw_payments(config, streams, t)
+    else:
+        if state.fixed_payments is None:
+            cash, wire = _draw_payments(config, streams, 0)
+            state.fixed_payments = [block.copy() for block in cash], wire
+        cash_blocks, wire_matrix = state.fixed_payments
+    cash_stats = settle_cash_payments(banks, book, cash_blocks, config.xi1)
     checkpoint("settle_cash_payments")
-    wire_stats = settle_wire_transfers(banks, book, state.wire_matrix, config.xi2, loans,
+    wire_stats = settle_wire_transfers(banks, book, wire_matrix, config.xi2, loans,
                                        config.reserve_base, t)
     checkpoint("settle_wire_transfers")
 
@@ -353,8 +360,9 @@ class CompareResult:
         return [float(np.mean(self.results[phi].metrics[metric])) for phi in self.phis]
 
     def ordered_seed_count(self, metric: str, decreasing: bool = True) -> int:
-        """Seeds on which the metric is strictly monotone across the sweep."""
-        stack = np.stack([self.results[phi].metrics[metric] for phi in self.phis])
+        """Seeds on which the metric is strictly monotone in phi, whatever
+        order the phis were given in."""
+        stack = np.stack([self.results[phi].metrics[metric] for phi in sorted(self.phis)])
         diffs = np.diff(stack, axis=0)
         good = (diffs < 0) if decreasing else (diffs > 0)
         return int(np.all(good, axis=0).sum())

@@ -102,7 +102,8 @@ class InterbankLoanLedger:
         """Book ``amount`` on the position, merging into an open one.
 
         ``weights`` is the issuance's snapshot, a tuple of three floats as
-        ``reserve_weights`` gives it, and is stored as given.
+        ``reserve_weights`` gives it.  Banks and period are Python ints and
+        ``amount`` a Python float; all are used as given, not converted.
         """
         if amount <= 0:
             return
@@ -110,7 +111,7 @@ class InterbankLoanLedger:
             raise LedgerError("a bank cannot lend to itself")
         if not (0 <= lender < self.n_banks and 0 <= borrower < self.n_banks):
             raise LedgerError(f"no bank {lender} or {borrower} among {self.n_banks}")
-        key = self.layout.pack(int(period), int(lender), int(borrower), kind)
+        key = self.layout.pack(period, lender, borrower, kind)
         issue = key & self.layout.issue_mask
         existing = self._weights.get(issue)
         if existing is None:
@@ -119,9 +120,9 @@ class InterbankLoanLedger:
             raise LedgerError(f"conflicting weight snapshots for issuance "
                               f"{(period, borrower, kind)}")
         if key in self._amounts:
-            self._amounts[key] += float(amount)
+            self._amounts[key] += amount
         else:
-            self._amounts[key] = float(amount)
+            self._amounts[key] = amount
             self._live[issue] = self._live.get(issue, 0) + 1
             insort(self._by_lender[lender], key)
 

@@ -8,6 +8,7 @@ period and the residual is converted into interbank credit.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .interbank import InterbankLoanLedger, LoanKind
 from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
-from .stochastics import row_loops
+from .stochastics import BLOCK_ROWS, row_loops
 
 
 @dataclass(frozen=True)
@@ -30,49 +31,44 @@ class WireTransferStats:
     issued_count: int
 
 
-# Rows per block of the cash inflow sum; a constant, so the summation order
-# (and with it every bit of a run) is fixed.
-_INFLOW_BLOCK_ROWS = 64
-
-
-def _cash_inflow(matrix: np.ndarray, outflow: np.ndarray) -> np.ndarray:
-    """sum_i outflow[i] * matrix[i, :], in a fixed order: rows added one by
-    one within blocks of 64, block sums added in block order.
-
-    Multiplies and adds are separate IEEE operations, so no fused
-    multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
-    as each can for ``matrix.T @ outflow``.
-    """
-    n, m = matrix.shape
-    products = np.empty((min(_INFLOW_BLOCK_ROWS, n), m))
-    block_sum = np.empty(m)
-    inflow = np.zeros(m)
-    # the sums run down columns, one row after another, whatever the buffer
-    with row_loops():
-        for lo in range(0, n, _INFLOW_BLOCK_ROWS):
-            hi = min(lo + _INFLOW_BLOCK_ROWS, n)
-            rows = products[:hi - lo]
-            np.multiply(outflow[lo:hi, None], matrix[lo:hi], out=rows)
-            np.add.reduce(rows, axis=0, out=block_sum)
-            inflow += block_sum
-    return inflow
-
-
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
-                         matrix: np.ndarray, xi1: float) -> CashPaymentStats:
+                         blocks: Iterable[np.ndarray], xi1: float) -> CashPaymentStats:
     """Let every customer pay out a fraction xi1 of its cash deposit along
-    its row of the (C, C) cash matrix.
+    its row of the (C, C) cash matrix, given as row blocks top to bottom.
 
     The matrix is row stochastic; a diagonal entry is a self-payment and
     nets to nothing.  Each bank's currency reserves and currency deposits
     move together by its customers' net flow, so total currency in the
     system is unchanged and no customer balance can go negative (payments
-    are a fraction of the existing deposit).
+    are a fraction of the existing deposit).  At xi1 = 0 no block is read,
+    so a lazily drawn matrix is never drawn.
+
+    The inflow, sum_i outflow[i] * matrix[i, :], runs in a fixed order:
+    rows added one by one within a block, block sums added in block order.
+    Multiplies and adds are separate IEEE operations, so no fused
+    multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
+    as each can for ``matrix.T @ outflow``.  Blocks are only read, so the
+    same list of blocks can be passed again.
     """
     if xi1 == 0.0:
         return CashPaymentStats(0.0)
     outflow = xi1 * book.l1
-    inflow = _cash_inflow(matrix, outflow)
+    n = outflow.size
+    products = np.empty((min(BLOCK_ROWS, n), n))
+    block_sum = np.empty(n)
+    inflow = np.zeros(n)
+    lo = 0
+    for block in blocks:
+        hi = lo + len(block)
+        rows = products[:hi - lo]
+        # per block, not around the loop: a generator's own row sums run in
+        # this context, and they must keep the default buffer
+        with row_loops():
+            np.multiply(outflow[lo:hi, None], block, out=rows)
+            # the sums run down columns, one row after another, whatever the buffer
+            np.add.reduce(rows, axis=0, out=block_sum)
+        inflow += block_sum
+        lo = hi
     book.l1 = book.l1 - outflow + inflow
     if book.l1.min() < 0:
         raise ConsistencyError("a customer cash deposit went negative")

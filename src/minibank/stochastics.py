@@ -11,6 +11,7 @@ interbank decisions get taken along the way.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -150,14 +151,27 @@ def row_loops():
         np.setbufsize(old)
 
 
-def random_row_stochastic(n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the n x n array ``out`` with a nonnegative matrix whose rows each
-    sum to one, and return it; the bytes do not depend on what ``out`` held."""
-    rng.random((n, n), out=out)
-    row_sums = out.sum(axis=1, keepdims=True)
-    with row_loops():
-        out /= row_sums
-    return out
+# Rows per block of a drawn row-stochastic matrix; a constant, so the
+# summation order of every consumer (and with it every bit of a run) is fixed.
+BLOCK_ROWS = 64
+
+
+def random_row_stochastic(n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield an n x n nonnegative matrix whose rows each sum to one, top to
+    bottom, in blocks of up to BLOCK_ROWS rows.
+
+    The uniforms are consumed in row order, so the blocks stacked are the
+    bytes of one (n, n) draw.  Every block is drawn into the same buffer:
+    a consumer that keeps a block past the next one must copy it.
+    """
+    buffer = np.empty((min(BLOCK_ROWS, n), n))
+    for lo in range(0, n, BLOCK_ROWS):
+        block = buffer[:min(BLOCK_ROWS, n - lo)]
+        rng.random(out=block)
+        row_sums = block.sum(axis=1, keepdims=True)
+        with row_loops():
+            block /= row_sums
+        yield block
 
 
 def uniform_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

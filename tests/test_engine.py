@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minibank
 from minibank import (
     ConfigError,
     IdentityError,
@@ -22,7 +28,7 @@ from minibank import (
     trace_metrics,
     validate_run,
 )
-from minibank.engine import AGGREGATE_COLUMNS
+from minibank.engine import AGGREGATE_COLUMNS, METRIC_KEYS
 
 POINT = TriangularParams.point
 
@@ -158,6 +164,16 @@ class TestEnsembles:
         count = result.ordered_seed_count("cumulative_guarantees", decreasing=False)
         assert 0 <= count <= 3
 
+    def test_ordered_seed_count_follows_phi_not_list_order(self):
+        # the compare table prints each count as a trend "in phi"
+        config = get_preset("baseline_perfect", seed=5, T=5)
+        ascending = compare_phis(config, phis=(0.0, 0.8), n_seeds=3)
+        descending = compare_phis(config, phis=(0.8, 0.0), n_seeds=3)
+        for metric in METRIC_KEYS:
+            for decreasing in (True, False):
+                assert (ascending.ordered_seed_count(metric, decreasing)
+                        == descending.ordered_seed_count(metric, decreasing)), metric
+
 
 class TestValidation:
     def test_validate_clean_run(self):
@@ -168,3 +184,65 @@ class TestValidation:
         for name in ("fig1_left", "fig2_right", "baseline_distressed"):
             trace = run_scenario(get_preset(name, seed=3, T=6, C=100, B=4))
             assert trace.n_periods == 6
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through containers and attributes."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (list, tuple, set)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from _arrays(vars(obj), seen)
+
+
+# The cash payment matrix is C x C; a run streams it in row blocks.
+_C = 2000
+
+_CHILD_RSS = """
+import resource
+from minibank import get_preset, run_scenario
+run_scenario(get_preset("baseline_perfect", seed=1, C=4000, T=2))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestMemory:
+    def _state_after_one_period(self):
+        config = get_preset("baseline_perfect", seed=1, C=_C, T=1)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        run_period(state, config, streams)
+        return state, config, streams
+
+    def test_state_holds_no_customer_square(self):
+        state, _, _ = self._state_after_one_period()
+        sizes = [array.size for array in _arrays(vars(state), set())]
+        assert sizes and max(sizes) < _C * _C
+
+    def test_one_period_allocates_no_full_matrix(self):
+        # 8 MB is a quarter of one (2000, 2000) float matrix
+        state, config, streams = self._state_after_one_period()
+        tracemalloc.start()
+        try:
+            run_period(state, config, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_peak_rss_of_a_c4000_run(self):
+        # a held (4000, 4000) float matrix alone would be 122 MiB
+        src = str(Path(minibank.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _CHILD_RSS], env=env, capture_output=True,
+                               text=True, timeout=300, check=True)
+        assert int(child.stdout) < 100 * 1024  # ru_maxrss is in KiB on Linux

@@ -82,6 +82,11 @@ GOLDEN = [
     ("fixed_payment_matrix", "baseline_perfect", dict(fixed_payment_matrix=True),
      "2758d5a3b73c84002f65a2b04e855f41289d9e4097c3a86639716d4702b892ae",
      "6d35fb7f2c9e425b3996e7242a9a2ad287597260c831d429ea0ed93443037749"),
+    # more than 64 banks and customers: both payment matrices are drawn in
+    # two row blocks, so a block that aliases another would move the bits
+    ("two_row_blocks", "baseline_perfect", dict(B=70, C=130, T=6),
+     "12a3183f694feb6e040b27cdfa3e74fe1e57cac94a1c853241930a6104f2b1cf",
+     "39c7fda69d5db83b4e49881ed000fc621c33a7c6a754086f7a53fa9bb5d0fce8"),
 ]
 
 

@@ -295,6 +295,7 @@ def test_snapshots_live_exactly_as_long_as_their_issuance():
         assert all(type(weights) is tuple and len(weights) == 3
                    and all(type(w) is float for w in weights)
                    for weights in state.loans._weights.values())
+        assert all(type(amount) is float for amount in state.loans._amounts.values())
 
 
 def _sheet_with_loan(amount=100.0, borrower_a1=150.0):

@@ -12,7 +12,6 @@ from minibank import (
     settle_cash_payments,
     settle_wire_transfers,
 )
-from minibank.payments import _cash_inflow
 from conftest import consistent_state
 
 
@@ -24,15 +23,24 @@ class TestCashPayments:
     def test_zero_scale_is_identity(self, two_banks_two_customers):
         banks, book = two_banks_two_customers
         before = banks.snapshot()
-        stats = settle_cash_payments(banks, book, np.eye(2), 0.0)
+        stats = settle_cash_payments(banks, book, [np.eye(2)], 0.0)
         assert stats.gross_volume == 0.0
         assert np.array_equal(banks.snapshot(), before)
+
+    def test_zero_scale_reads_no_block(self, two_banks_two_customers):
+        # so a lazily drawn cash matrix is never drawn at xi1 = 0
+        def blocks():
+            raise AssertionError("a cash block was read at xi1 = 0")
+            yield
+
+        banks, book = two_banks_two_customers
+        assert settle_cash_payments(banks, book, blocks(), 0.0).gross_volume == 0.0
 
     def test_two_customers_hand_case(self, two_banks_two_customers):
         # both customers pay everything to customer 1; customer 1's payment
         # is a self-payment and nets out
         banks, book = two_banks_two_customers
-        settle_cash_payments(banks, book, np.array([[0.0, 1.0], [0.0, 1.0]]), 0.1)
+        settle_cash_payments(banks, book, [np.array([[0.0, 1.0], [0.0, 1.0]])], 0.1)
         assert book.l1[0] == pytest.approx(90.0)
         assert book.l1[1] == pytest.approx(110.0)
         assert banks.a1[0] == pytest.approx(90.0)
@@ -43,8 +51,8 @@ class TestCashPayments:
     def test_single_bank_nets_to_zero(self):
         banks, book = consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3,
                                        assignment=[0, 0, 0], n_banks=2)
-        matrix = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1), np.empty((3, 3)))
-        settle_cash_payments(banks, book, matrix, 0.5)
+        blocks = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1))
+        settle_cash_payments(banks, book, blocks, 0.5)
         assert banks.a1[0] == pytest.approx(120.0)  # internal transfers only
         assert banks.a1[1] == 0.0
 
@@ -57,11 +65,16 @@ class TestCashPayments:
             n_banks=4,
         )
         total = banks.a1.sum()
-        matrix = random_row_stochastic(40, rng.stream("cash_matrix", 1), np.empty((40, 40)))
-        settle_cash_payments(banks, book, matrix, 1.0)
+        blocks = random_row_stochastic(40, rng.stream("cash_matrix", 1))
+        settle_cash_payments(banks, book, blocks, 1.0)
         assert banks.a1.sum() == pytest.approx(total, rel=1e-12)
         assert book.l1.min() >= 0.0
         check_identities(banks, book)
+
+
+def _blocks(n, rng):
+    """The drawn matrix's blocks as copies, which can be read again."""
+    return [block.copy() for block in random_row_stochastic(n, rng)]
 
 
 def _row_block_inflow(matrix, outflow):
@@ -81,9 +94,15 @@ class TestCashInflow:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 200, 1001])
     def test_matches_row_block_reference(self, n):
         rng = RngStreams(5)
-        matrix = random_row_stochastic(n, rng.stream("cash_matrix", 1), np.empty((n, n)))
         outflow = rng.stream("assignment").random(n) * 100
-        inflow = _cash_inflow(matrix, outflow)
+        banks, book = consistent_state(l1=outflow, l2=[0.0] * n,
+                                       assignment=np.arange(n) % 2, n_banks=2)
+        # at xi1 = 1 each customer pays out all of l1, so what it holds
+        # afterwards is (l1 - l1) + inflow: the inflow's own bits
+        blocks = random_row_stochastic(n, rng.stream("cash_matrix", 1))
+        settle_cash_payments(banks, book, blocks, 1.0)
+        inflow = book.l1
+        matrix = np.concatenate(_blocks(n, rng.stream("cash_matrix", 1)))
         assert inflow.tobytes() == _row_block_inflow(matrix, outflow).tobytes()
         assert np.allclose(inflow, matrix.T @ outflow, rtol=1e-13, atol=0.0)
 
@@ -97,9 +116,9 @@ class TestCashInflow:
             n_banks=10,
         )
         total = banks.a1.sum()
-        matrix = random_row_stochastic(n, rng.stream("cash_matrix", 1), np.empty((n, n)))
-        for xi1 in (0.3, 1.0):
-            settle_cash_payments(banks, book, matrix, xi1)
+        blocks = _blocks(n, rng.stream("cash_matrix", 1))
+        for xi1 in (0.3, 1.0):  # the same blocks twice, as fixed_payment_matrix replays them
+            settle_cash_payments(banks, book, blocks, xi1)
             assert abs(banks.a1.sum() - total) <= 1e-9 * total
             assert book.l1.min() >= 0.0
             check_identities(banks, book)
@@ -154,7 +173,7 @@ class TestWireTransfers:
         l2 = 1000.0 * (0.05 + rng.stream("assignment").random(5))
         banks, book = self._state(list(l2))
         loans = InterbankLoanLedger(5)
-        matrix = random_row_stochastic(5, rng.stream("wire_matrix", 1), np.empty((5, 5)))
+        matrix = np.concatenate(_blocks(5, rng.stream("wire_matrix", 1)))
         total = banks.l2.sum()
         settle_wire_transfers(banks, book, matrix, 0.75, loans, ReserveBase.BROAD, 1)
         assert banks.l2.sum() == pytest.approx(total, rel=1e-12)

@@ -58,38 +58,40 @@ class TestTriangular:
         assert abs(draws.mean() - (0.0 + 0.3 + 1.0) / 3.0) < 0.002
 
 
+def _stacked(n, rng):
+    """The drawn matrix whole, from copies: the blocks share one buffer."""
+    return np.concatenate([block.copy() for block in random_row_stochastic(n, rng)])
+
+
 class TestRowStochastic:
     def test_single_row(self):
-        assert np.array_equal(random_row_stochastic(1, _rng(), np.empty((1, 1))),
-                              np.array([[1.0]]))
+        assert np.array_equal(_stacked(1, _rng()), np.array([[1.0]]))
 
     def test_rows_sum_to_one(self):
-        matrix = random_row_stochastic(5, _rng(2), np.empty((5, 5)))
+        matrix = _stacked(5, _rng(2))
         assert np.all(matrix >= 0)
         assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
 
-    def test_bit_identical_across_calls(self):
-        a = random_row_stochastic(1000, _rng(9, "cash_matrix", 4), np.empty((1000, 1000)))
-        # a buffer that holds an earlier period's draw is refilled to the same bytes
-        reused = random_row_stochastic(1000, _rng(9, "cash_matrix", 5), np.empty((1000, 1000)))
-        b = random_row_stochastic(1000, _rng(9, "cash_matrix", 4), reused)
-        assert b is reused
-        assert a.tobytes() == b.tobytes()
-
 
 class TestRowStochasticStream:
-    """The draw consumes exactly n * n uniforms in row order, so a draw in
-    row blocks (each from a copy of the generator advanced to its first
-    row) must reproduce these bytes and leave the generator here."""
+    """The draw consumes exactly n * n uniforms in row order, one block of
+    at most 64 rows after another, so the blocks stacked must be the bytes
+    of one serial (n, n) fill and leave the generator where that fill does."""
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000, 1001])
     def test_bytes_and_next_draw_match_serial_fill(self, n):
         drawn, serial = _rng(4, "cash_matrix", 2), _rng(4, "cash_matrix", 2)
-        matrix = random_row_stochastic(n, drawn, np.full((n, n), np.nan))
+        blocks = [block.copy() for block in random_row_stochastic(n, drawn)]
+        assert [len(block) for block in blocks] == [64] * (n // 64) + [n % 64] * (n % 64 > 0)
         expected = serial.random((n, n))
         expected /= expected.sum(axis=1, keepdims=True)
-        assert matrix.tobytes() == expected.tobytes()
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
         assert drawn.random() == serial.random()
+
+    def test_nothing_is_drawn_until_a_block_is_read(self):
+        drawn, untouched = _rng(4, "cash_matrix", 2), _rng(4, "cash_matrix", 2)
+        random_row_stochastic(100, drawn)
+        assert drawn.random() == untouched.random()
 
 
 class TestUniformMatrix:
