@@ -23,14 +23,6 @@ from .ledger import ReserveBase
 from .stochastics import TriangularParams
 
 
-def _tri(lower: float, peak: float, upper: float) -> TriangularParams:
-    return TriangularParams(lower, peak, upper)
-
-
-def _point(value: float) -> TriangularParams:
-    return TriangularParams.point(value)
-
-
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Complete calibration of one simulation run.
@@ -47,18 +39,18 @@ class ScenarioConfig:
     C: int = 1000
     A1_0: float = 1e9
     A4_0: float = 1e8
-    r_A1: TriangularParams = _tri(0.005, 0.01, 0.015)
-    r_A2: TriangularParams = _tri(0.02, 0.03, 0.04)
-    r_interbank: TriangularParams = _tri(0.005, 0.015, 0.025)
-    r_L1: TriangularParams = _tri(0.005, 0.01, 0.015)
-    r_L2: TriangularParams = _tri(0.005, 0.01, 0.015)
+    r_A1: TriangularParams = TriangularParams(0.005, 0.01, 0.015)
+    r_A2: TriangularParams = TriangularParams(0.02, 0.03, 0.04)
+    r_interbank: TriangularParams = TriangularParams(0.005, 0.015, 0.025)
+    r_L1: TriangularParams = TriangularParams(0.005, 0.01, 0.015)
+    r_L2: TriangularParams = TriangularParams(0.005, 0.01, 0.015)
     l5_spread: float = 0.03
     gamma_RR: float = 0.1
-    gamma_TR_noise: TriangularParams = _point(0.0)
+    gamma_TR_noise: TriangularParams = TriangularParams.point(0.0)
     behaviour: LendingBehaviour = LendingBehaviour.MONEY_MULTIPLICATION
     reserve_base: ReserveBase = ReserveBase.BROAD
-    psi: TriangularParams = _tri(0.0, 0.3, 1.0)
-    theta: TriangularParams = _tri(0.0, 0.8, 1.0)
+    psi: TriangularParams = TriangularParams(0.0, 0.3, 1.0)
+    theta: TriangularParams = TriangularParams(0.0, 0.8, 1.0)
     omega: float = 0.5
     phi: float = 0.0
     matching: MatchingMode = MatchingMode.EXOGENOUS
@@ -121,21 +113,21 @@ class ScenarioConfig:
 
 # Benchmark scenarios use constant rates; the baseline calibration draws them.
 _BENCHMARK_RATES = dict(
-    r_A1=_point(0.01),
-    r_A2=_point(0.03),
-    r_interbank=_point(0.015),
-    r_L1=_point(0.01),
-    r_L2=_point(0.01),
+    r_A1=TriangularParams.point(0.01),
+    r_A2=TriangularParams.point(0.03),
+    r_interbank=TriangularParams.point(0.015),
+    r_L1=TriangularParams.point(0.01),
+    r_L2=TriangularParams.point(0.01),
 )
 
 _MONEY_BOUND_COMMON = dict(
-    psi=_point(0.0),          # customer loans are never repaid in these scenarios
-    theta=_tri(0.0, 0.5, 1.0),
-    phi=0.0,                  # perfect pooling
+    psi=TriangularParams.point(0.0),  # customer loans are never repaid in these scenarios
+    theta=TriangularParams(0.0, 0.5, 1.0),
+    phi=0.0,  # perfect pooling
     # benchmark banks target a constant prudential margin over the
     # regulatory ratio, so the narrow money stock plateaus inside the
     # A1_0 / gamma_RR ceiling instead of riding it
-    gamma_TR_noise=_point(0.02),
+    gamma_TR_noise=TriangularParams.point(0.02),
     **_BENCHMARK_RATES,
 )
 

@@ -11,7 +11,6 @@ independently seeded runs and merge afterwards.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +68,6 @@ class SimulationState:
     banks: BankBalanceSheets
     book: CustomerBook
     loans: InterbankLoanLedger
-    # Under fixed_payment_matrix, the first period's cash matrix (as copies
-    # of its row blocks) and wire matrix, replayed every period.  Otherwise
-    # None: both are drawn afresh each period, the cash matrix block by
-    # block as it is settled, so no (C, C) array is ever held.
-    fixed_payments: tuple[list[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -86,15 +80,6 @@ class PeriodRecord:
 def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     banks, book = initialise(config, streams.stream("assignment", 0))
     return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
-
-
-def _draw_payments(config: ScenarioConfig, streams: RngStreams,
-                   key: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
-    """The cash matrix's row blocks, not yet drawn, and the wire matrix.
-    The wire matrix is stacked from copies, since the blocks share a buffer."""
-    cash = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
-    wire = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
-    return cash, np.concatenate([block.copy() for block in wire])
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
@@ -131,15 +116,16 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
 
     target_ratio = draw_target_ratios(config, streams.stream("target_ratio", t))
 
-    if not config.fixed_payment_matrix:
-        cash_blocks, wire_matrix = _draw_payments(config, streams, t)
-    else:
-        if state.fixed_payments is None:
-            cash, wire = _draw_payments(config, streams, 0)
-            state.fixed_payments = [block.copy() for block in cash], wire
-        cash_blocks, wire_matrix = state.fixed_payments
-    cash_stats = settle_cash_payments(banks, book, cash_blocks, config.xi1)
+    # Identical keys give identical draws, so a fixed matrix is period 0's
+    # streams drawn again.  The cash matrix is drawn block by block as it is
+    # settled; the wire matrix is stacked from copies, as the blocks share a
+    # buffer.
+    key = 0 if config.fixed_payment_matrix else t
+    cash_blocks = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
+    cash_gross = settle_cash_payments(banks, book, cash_blocks, config.xi1)
     checkpoint("settle_cash_payments")
+    wire_blocks = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
+    wire_matrix = np.concatenate([block.copy() for block in wire_blocks])
     wire_stats = settle_wire_transfers(banks, book, wire_matrix, config.xi2, loans,
                                        config.reserve_base, t)
     checkpoint("settle_wire_transfers")
@@ -188,7 +174,7 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
         "interbank_outstanding": loans.total(),
         "guarantees_granted": float(grants.sum()),
         "guarantee_count": float((grants > 0).sum()),
-        "cash_gross": cash_stats.gross_volume,
+        "cash_gross": cash_gross,
         "wire_gross": wire_stats.gross_volume,
     }
     return PeriodRecord(banks.snapshot(), profit, stats)

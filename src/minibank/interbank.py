@@ -298,8 +298,6 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     fields = layout.fields(np.fromiter(keys, dtype=np.int64, count=len(keys)))
     draws = keyed_threshold_draw(decision_seed, period, *fields)
     due = [(keys[i], loans.amount(keys[i])) for i in np.flatnonzero(draws > omega)]
-    if not due:
-        return InterbankRepaymentStats(0.0, 0, 0.0, 0.0)
 
     # One weight snapshot per phase backs every refinancing made during it.
     rollover_weights = reserve_weights(banks, base)
@@ -469,9 +467,6 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     """
     B = banks.n_banks
     borrowers = np.flatnonzero(state.need > 0)
-    if borrowers.size == 0 or state.excess.sum() <= 0:
-        return state.need.copy(), PoolingStats(0.0, 0, 0.0)
-
     grid = np.zeros((B, B))
     for b in borrowers:
         matched = np.flatnonzero(state.actual[:, b])
@@ -484,8 +479,7 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
 
     out_totals = grid.sum(axis=1)
     over = out_totals > state.excess
-    if np.any(over):
-        grid[over] *= (state.excess[over] / out_totals[over])[:, None]
+    grid[over] *= (state.excess[over] / out_totals[over])[:, None]
 
     gap = state.need.sum() - state.excess.sum()
     if state.base.component_mask[2] > 0 and gap > 0:
@@ -501,8 +495,6 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
 
     pairs = [(l, b, grid[l, b].item())
              for b in borrowers.tolist() for l in np.flatnonzero(grid[:, b] > 0).tolist()]
-    if not pairs:
-        return state.need.copy(), PoolingStats(0.0, 0, 0.0)
 
     # Both loops run on Python floats, as in repay_interbank_loans.
     a1, a2, a3, l3 = (banks.a1.tolist(), banks.a2.tolist(), banks.a3.tolist(),

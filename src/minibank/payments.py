@@ -16,12 +16,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .interbank import InterbankLoanLedger, LoanKind
 from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
-from .stochastics import BLOCK_ROWS, row_loops
-
-
-@dataclass(frozen=True)
-class CashPaymentStats:
-    gross_volume: float
+from .stochastics import row_loops
 
 
 @dataclass(frozen=True)
@@ -32,9 +27,10 @@ class WireTransferStats:
 
 
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
-                         blocks: Iterable[np.ndarray], xi1: float) -> CashPaymentStats:
+                         blocks: Iterable[np.ndarray], xi1: float) -> float:
     """Let every customer pay out a fraction xi1 of its cash deposit along
-    its row of the (C, C) cash matrix, given as row blocks top to bottom.
+    its row of the (C, C) cash matrix, given as row blocks top to bottom,
+    and return the gross volume paid.
 
     The matrix is row stochastic; a diagonal entry is a self-payment and
     nets to nothing.  Each bank's currency reserves and currency deposits
@@ -47,26 +43,23 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     rows added one by one within a block, block sums added in block order.
     Multiplies and adds are separate IEEE operations, so no fused
     multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
-    as each can for ``matrix.T @ outflow``.  Blocks are only read, so the
-    same list of blocks can be passed again.
+    as each can for ``matrix.T @ outflow``.  Each block is scaled in place,
+    so the blocks are consumed: pass fresh ones on every call.
     """
     if xi1 == 0.0:
-        return CashPaymentStats(0.0)
+        return 0.0
     outflow = xi1 * book.l1
-    n = outflow.size
-    products = np.empty((min(BLOCK_ROWS, n), n))
-    block_sum = np.empty(n)
-    inflow = np.zeros(n)
+    block_sum = np.empty(outflow.size)
+    inflow = np.zeros(outflow.size)
     lo = 0
     for block in blocks:
         hi = lo + len(block)
-        rows = products[:hi - lo]
         # per block, not around the loop: a generator's own row sums run in
         # this context, and they must keep the default buffer
         with row_loops():
-            np.multiply(outflow[lo:hi, None], block, out=rows)
+            block *= outflow[lo:hi, None]
             # the sums run down columns, one row after another, whatever the buffer
-            np.add.reduce(rows, axis=0, out=block_sum)
+            np.add.reduce(block, axis=0, out=block_sum)
         inflow += block_sum
         lo = hi
     book.l1 = book.l1 - outflow + inflow
@@ -75,7 +68,7 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     new_bank_l1 = book.bank_l1()
     banks.a1 += new_bank_l1 - banks.l1  # banks.l1 is book.bank_l1() from before
     banks.l1 = new_bank_l1
-    return CashPaymentStats(float(outflow.sum()))
+    return float(outflow.sum())
 
 
 def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,

@@ -207,11 +207,11 @@ def draw_period_rates(config: ScenarioConfig, rng: np.random.Generator) -> RateS
     r_l2 = sample_triangular(config.r_L2, rng, config.B)
     r_ib = float(sample_triangular(config.r_interbank, rng))
     return RateSet(
-        r_a1=np.asarray(r_a1, dtype=float),
-        r_a2=np.asarray(r_a2, dtype=float),
+        r_a1=r_a1,
+        r_a2=r_a2,
         r_a3=r_ib,
-        r_l1=np.asarray(r_l1, dtype=float),
-        r_l2=np.asarray(r_l2, dtype=float),
+        r_l1=r_l1,
+        r_l2=r_l2,
         r_l3=r_ib,
         r_l5=r_ib + config.l5_spread,
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,23 @@ def test_fixed_payment_matrix_reuses_the_same_flows():
     early = np.abs(l1[1] - l1[0]).sum()
     late = np.abs(l1[-1] - l1[-2]).sum()
     assert late < early
+
+
+@pytest.mark.parametrize("xi1", [0.1, 0.0])
+def test_fixed_payment_matrix_holds_no_customer_square(xi1):
+    # the fixed matrix is period 0's streams drawn again each period; a kept
+    # copy of it would be C * C * 8 bytes (30.5 MiB here), even at xi1 = 0,
+    # where no phase reads it
+    C = 2000
+    config = get_preset("baseline_perfect", seed=1, fixed_payment_matrix=True,
+                        C=C, B=4, T=3, xi1=xi1)
+    tracemalloc.start()
+    try:
+        run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < C * C * 8 / 8
 
 
 def test_relaxed_target_base_lends_more():

@@ -23,8 +23,7 @@ class TestCashPayments:
     def test_zero_scale_is_identity(self, two_banks_two_customers):
         banks, book = two_banks_two_customers
         before = banks.snapshot()
-        stats = settle_cash_payments(banks, book, [np.eye(2)], 0.0)
-        assert stats.gross_volume == 0.0
+        assert settle_cash_payments(banks, book, [np.eye(2)], 0.0) == 0.0
         assert np.array_equal(banks.snapshot(), before)
 
     def test_zero_scale_reads_no_block(self, two_banks_two_customers):
@@ -34,7 +33,7 @@ class TestCashPayments:
             yield
 
         banks, book = two_banks_two_customers
-        assert settle_cash_payments(banks, book, blocks(), 0.0).gross_volume == 0.0
+        assert settle_cash_payments(banks, book, blocks(), 0.0) == 0.0
 
     def test_two_customers_hand_case(self, two_banks_two_customers):
         # both customers pay everything to customer 1; customer 1's payment
@@ -73,7 +72,7 @@ class TestCashPayments:
 
 
 def _blocks(n, rng):
-    """The drawn matrix's blocks as copies, which can be read again."""
+    """The drawn matrix's blocks as copies, which outlive the shared buffer."""
     return [block.copy() for block in random_row_stochastic(n, rng)]
 
 
@@ -116,8 +115,8 @@ class TestCashInflow:
             n_banks=10,
         )
         total = banks.a1.sum()
-        blocks = _blocks(n, rng.stream("cash_matrix", 1))
-        for xi1 in (0.3, 1.0):  # the same blocks twice, as fixed_payment_matrix replays them
+        for xi1 in (0.3, 1.0):  # the blocks are consumed: each call draws the same ones afresh
+            blocks = random_row_stochastic(n, rng.stream("cash_matrix", 1))
             settle_cash_payments(banks, book, blocks, xi1)
             assert abs(banks.a1.sum() - total) <= 1e-9 * total
             assert book.l1.min() >= 0.0
