@@ -24,6 +24,7 @@ from .config import (
 from .engine import (
     CHECK_CADENCES,
     compare_phis,
+    derive_seeds,
     run_ensemble,
     run_scenario,
     trace_metrics,
@@ -78,7 +79,7 @@ def _cmd_run(args) -> int:
 def _cmd_ensemble(args) -> int:
     config = _config_from_args(args)
     start = time.perf_counter()
-    result = run_ensemble(config, n_seeds=args.seeds, check=args.check)
+    result = run_ensemble(config, derive_seeds(config.seed, args.seeds), check=args.check)
     elapsed = time.perf_counter() - start
     paths = emit_ensemble_artifacts(result, args.out, wall_time=elapsed)
     print(f"ran {result.n_seeds} seeds in {elapsed:.2f}s")

@@ -70,13 +70,6 @@ class SimulationState:
     loans: InterbankLoanLedger
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    sheets: np.ndarray  # (B, 10)
-    profit: np.ndarray  # (B,)
-    stats: dict[str, float]
-
-
 def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
     banks, book = initialise(config, streams.stream("assignment", 0))
     return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
@@ -97,67 +90,59 @@ def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> 
 
 
 def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStreams,
-               check: str = "period") -> PeriodRecord:
-    """Advance the state by one period and return its record.
+               check: str = "period") -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Advance the state by one period; return its (B, 10) sheets, (B,)
+    profit and stats.
 
     ``check``, one of CHECK_CADENCES, controls how often the identity,
-    currency and ledger checks run.
+    currency and ledger checks run: after every phase, or else once at the
+    end of the period.
     """
     t = state.period + 1
     banks, book, loans = state.banks, state.book, state.loans
-    per_phase = check == "phase"
 
-    def checkpoint(phase: str) -> None:
-        if per_phase:
-            _check_state(state, config, f"period {t}, after {phase}")
+    def step(phase, *args, **kwargs):
+        result = phase(*args, **kwargs)
+        if check == "phase":
+            _check_state(state, config, f"period {t}, after {phase.__name__}")
+        return result
 
-    remove_guarantees(banks)
-    checkpoint("remove_guarantees")
+    step(remove_guarantees, banks)
 
     target_ratio = draw_target_ratios(config, streams.stream("target_ratio", t))
 
     # Identical keys give identical draws, so a fixed matrix is period 0's
-    # streams drawn again.  The cash matrix is drawn block by block as it is
-    # settled; the wire matrix is stacked from copies, as the blocks share a
-    # buffer.
+    # streams drawn again.  Each matrix is drawn as it is settled.
     key = 0 if config.fixed_payment_matrix else t
-    cash_blocks = random_row_stochastic(config.C, streams.stream("cash_matrix", key))
-    cash_gross = settle_cash_payments(banks, book, cash_blocks, config.xi1)
-    checkpoint("settle_cash_payments")
-    wire_blocks = random_row_stochastic(config.B, streams.stream("wire_matrix", key))
-    wire_matrix = np.concatenate([block.copy() for block in wire_blocks])
-    wire_stats = settle_wire_transfers(banks, book, wire_matrix, config.xi2, loans,
-                                       config.reserve_base, t)
-    checkpoint("settle_wire_transfers")
+    cash_gross = step(settle_cash_payments, banks, book,
+                      random_row_stochastic(config.C, streams.stream("cash_matrix", key)),
+                      config.xi1)
+    wire_stats = step(settle_wire_transfers, banks, book,
+                      random_row_stochastic(config.B, streams.stream("wire_matrix", key)),
+                      config.xi2, loans, config.reserve_base, t)
 
-    repaid = repay_customer_loans(banks, book, config, streams.stream("repayment_ratio", t))
-    checkpoint("repay_customer_loans")
+    repaid = step(repay_customer_loans, banks, book, config, streams.stream("repayment_ratio", t))
     potential = target_lending(banks, config, target_ratio)
-    lent = realise_lending(banks, book, potential, config, streams.stream("absorption", t))
-    checkpoint("realise_lending")
+    lent = step(realise_lending, banks, book, potential, config, streams.stream("absorption", t))
 
-    ib_stats = repay_interbank_loans(banks, loans, config.omega, config.reserve_base, t,
-                                     streams.subseed("interbank_decision"))
-    checkpoint("repay_interbank_loans")
+    ib_stats = step(repay_interbank_loans, banks, loans, config.omega, config.reserve_base, t,
+                    streams.subseed("interbank_decision"))
 
     pooling = compute_pooling_state(banks, config.reserve_base, target_ratio, config.phi,
                                     config.matching, streams.stream("matching", t),
                                     alpha=config.alpha, lam=config.lam)
-    unmet, pool_stats = allocate_pooled_credit(banks, loans, pooling, t,
-                                               transfer_on_issue=config.transfer_on_issue)
-    checkpoint("allocate_pooled_credit")
+    unmet, pool_stats = step(allocate_pooled_credit, banks, loans, pooling, t,
+                             transfer_on_issue=config.transfer_on_issue)
 
     # the guarantee must complete reserves to exactly the pooling-phase target
     expected = pooling.target_reserve - sum_reserve(banks, config.reserve_base)
-    grants = grant_guarantees(banks, unmet, expected=expected)
-    checkpoint("grant_guarantees")
+    grants = step(grant_guarantees, banks, unmet, expected=expected)
 
     rates = draw_period_rates(config, streams.stream("rates", t))
-    profit = accrue_equity(banks, rates)
-    checkpoint("accrue_equity")
+    profit = step(accrue_equity, banks, rates)
 
     state.period = t
-    if check == "period":
+    if check != "phase":
         _check_state(state, config, f"period {t}")
 
     stats = {
@@ -177,7 +162,7 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
         "cash_gross": cash_gross,
         "wire_gross": wire_stats.gross_volume,
     }
-    return PeriodRecord(banks.snapshot(), profit, stats)
+    return banks.snapshot(), profit, stats
 
 
 @dataclass(frozen=True)
@@ -207,27 +192,6 @@ class SimulationTrace:
         return self.sheets[:, :, ITEM_NAMES.index(name)]
 
 
-def _trace_from_records(config: ScenarioConfig, initial: np.ndarray,
-                        records: list[PeriodRecord]) -> SimulationTrace:
-    B = initial.shape[0]
-    sheets = np.stack([r.sheets for r in records]) if records else np.zeros((0, B, 10))
-    profit = np.stack([r.profit for r in records]) if records else np.zeros((0, B))
-    aggregates: dict[str, np.ndarray] = {}
-    for i, name in enumerate(ITEM_NAMES):
-        aggregates[name] = sheets[:, :, i].sum(axis=1)
-    aggregates["money_total"] = aggregates["l1"] + aggregates["l2"] + aggregates["l3"]
-    aggregates["profit_total"] = profit.sum(axis=1)
-    for name in STAT_COLUMNS:
-        aggregates[name] = np.array([r.stats[name] for r in records])
-    return SimulationTrace(
-        config=config,
-        initial=initial,
-        sheets=sheets,
-        profit=profit,
-        aggregates=aggregates,
-    )
-
-
 def run_scenario(config: ScenarioConfig, check: str = "period") -> SimulationTrace:
     """Run one seeded scenario end to end and return its trace."""
     config.validate()
@@ -237,8 +201,18 @@ def run_scenario(config: ScenarioConfig, check: str = "period") -> SimulationTra
     state = init_state(config, streams)
     _check_state(state, config, "initial state")
     initial = state.banks.snapshot()
-    records = [run_period(state, config, streams, check=check) for _ in range(config.T)]
-    return _trace_from_records(config, initial, records)
+    sheets = np.empty((config.T, config.B, len(ITEM_NAMES)))
+    profit = np.empty((config.T, config.B))
+    stats = {name: np.empty(config.T) for name in STAT_COLUMNS}
+    for t in range(config.T):
+        sheets[t], profit[t], period_stats = run_period(state, config, streams, check=check)
+        for name in STAT_COLUMNS:
+            stats[name][t] = period_stats[name]
+    aggregates = {name: sheets[:, :, i].sum(axis=1) for i, name in enumerate(ITEM_NAMES)}
+    aggregates["money_total"] = aggregates["l1"] + aggregates["l2"] + aggregates["l3"]
+    aggregates["profit_total"] = profit.sum(axis=1)
+    aggregates.update(stats)
+    return SimulationTrace(config, initial, sheets, profit, aggregates)
 
 
 def derive_seeds(master_seed: int, n: int) -> list[int]:
@@ -298,18 +272,15 @@ class EnsembleResult:
         return len(self.seeds)
 
 
-def run_ensemble(config: ScenarioConfig, n_seeds: int | None = None,
-                 seeds: list[int] | None = None, check: str = "period") -> EnsembleResult:
-    """Run independently seeded copies of one scenario.
+def run_ensemble(config: ScenarioConfig, seeds: list[int], check: str = "period") -> EnsembleResult:
+    """Run copies of one scenario, one per seed.
 
-    Child seeds derive from config.seed, so an ensemble is as reproducible
-    as a single run.  Pass an explicit seed list to share shocks across
-    scenario variants.
+    Seeds from ``derive_seeds(config.seed, n)`` make an ensemble as
+    reproducible as a single run; one seed list shared across scenario
+    variants shares their shocks.
     """
-    if seeds is None:
-        seeds = derive_seeds(config.seed, n_seeds if n_seeds is not None else 1)
     if not seeds:
-        raise ConfigError("n_seeds: must be at least 1")
+        raise ConfigError("seeds: expected at least one")
     series: dict[str, list[np.ndarray]] = {name: [] for name in AGGREGATE_COLUMNS}
     metrics: dict[str, list[float]] = {name: [] for name in METRIC_KEYS}
     for seed in seeds:

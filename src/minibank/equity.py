@@ -23,8 +23,8 @@ def accrue_equity(banks: BankBalanceSheets, rates: RateSet) -> np.ndarray:
     the system, so interbank interest is zero-sum between banks.
     """
     profit = (
-        rates.r_a1 * banks.a1 + rates.r_a2 * banks.a2 + rates.r_a3 * banks.a3
-        - rates.r_l1 * banks.l1 - rates.r_l2 * banks.l2 - rates.r_l3 * banks.l3
+        rates.r_a1 * banks.a1 + rates.r_a2 * banks.a2 + rates.r_interbank * banks.a3
+        - rates.r_l1 * banks.l1 - rates.r_l2 * banks.l2 - rates.r_interbank * banks.l3
         - rates.r_l5 * banks.l5
     )
     banks.a4 = banks.a4 + profit

@@ -72,16 +72,18 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
 
 
 def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
-                          matrix: np.ndarray, xi2: float, loans: InterbankLoanLedger,
+                          blocks: Iterable[np.ndarray], xi2: float, loans: InterbankLoanLedger,
                           base: ReserveBase, period: int) -> WireTransferStats:
     """Wire loan deposits between banks and net the positions into credit.
 
     Every bank sends a fraction xi2 of its loan-deposit stock along its row
-    of the (B, B) wire matrix.  The matrix is row stochastic; a diagonal
-    entry is a self-payment and nets to nothing.  No currency moves:
-    positions are netted across all counterparties at once, each bank's
-    loan deposits change by its net flow, and a bank with a net inflow has
-    implicitly lent it (new a3) while a net outflow is borrowed (new l3).  The payers' net positions
+    of the (B, B) wire matrix, given as row blocks top to bottom as for
+    ``settle_cash_payments``; when no deposit is sent, no block is read.
+    The matrix is row stochastic; a diagonal entry is a self-payment and
+    nets to nothing.  No currency moves: positions are netted across all
+    counterparties at once, each bank's loan deposits change by its net
+    flow, and a bank with a net inflow has implicitly lent it (new a3)
+    while a net outflow is borrowed (new l3).  The payers' net positions
     are matched to the receivers pro rata and recorded in the loan ledger,
     so ledger totals track the new balance-sheet items exactly.  Paying
     banks draw their customers' balances down pro rata; receiving banks
@@ -96,7 +98,8 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     if gross.sum() == 0.0:
         return WireTransferStats(0.0, 0.0, 0)
 
-    volumes = gross[:, None] * matrix
+    # the blocks may share one buffer, so each is copied before the next is drawn
+    volumes = gross[:, None] * np.vstack([block.copy() for block in blocks])
     net = volumes.sum(axis=0) - volumes.sum(axis=1)  # inflow minus outflow per bank
 
     old_l2 = banks.l2.copy()

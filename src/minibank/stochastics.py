@@ -185,10 +185,9 @@ class RateSet:
 
     r_a1: np.ndarray
     r_a2: np.ndarray
-    r_a3: float
     r_l1: np.ndarray
     r_l2: np.ndarray
-    r_l3: float
+    r_interbank: float  # on a3 and l3 alike
     r_l5: float
 
 
@@ -206,12 +205,5 @@ def draw_period_rates(config: ScenarioConfig, rng: np.random.Generator) -> RateS
     r_l1 = sample_triangular(config.r_L1, rng, config.B)
     r_l2 = sample_triangular(config.r_L2, rng, config.B)
     r_ib = float(sample_triangular(config.r_interbank, rng))
-    return RateSet(
-        r_a1=r_a1,
-        r_a2=r_a2,
-        r_a3=r_ib,
-        r_l1=r_l1,
-        r_l2=r_l2,
-        r_l3=r_ib,
-        r_l5=r_ib + config.l5_spread,
-    )
+    return RateSet(r_a1=r_a1, r_a2=r_a2, r_l1=r_l1, r_l2=r_l2, r_interbank=r_ib,
+                   r_l5=r_ib + config.l5_spread)

@@ -4,11 +4,10 @@ import pytest
 from minibank import BankBalanceSheets, RateSet, accrue_equity
 
 
-def _rates(r_a1=0.01, r_a2=0.03, r_a3=0.015, r_l1=0.01, r_l2=0.01, r_l3=0.015,
-           r_l5=0.045, n=1):
+def _rates(r_a1=0.01, r_a2=0.03, r_l1=0.01, r_l2=0.01, r_interbank=0.015, r_l5=0.045, n=1):
     ones = np.ones(n)
-    return RateSet(r_a1=r_a1 * ones, r_a2=r_a2 * ones, r_a3=r_a3,
-                   r_l1=r_l1 * ones, r_l2=r_l2 * ones, r_l3=r_l3, r_l5=r_l5)
+    return RateSet(r_a1=r_a1 * ones, r_a2=r_a2 * ones, r_l1=r_l1 * ones, r_l2=r_l2 * ones,
+                   r_interbank=r_interbank, r_l5=r_l5)
 
 
 def test_benchmark_hand_case():

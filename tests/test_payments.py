@@ -136,6 +136,17 @@ class TestWireTransfers:
         assert np.array_equal(banks.snapshot(), before)
         assert len(loans) == 0
 
+    def test_zero_scale_reads_no_block(self):
+        # so a lazily drawn wire matrix is never drawn at xi2 = 0
+        def blocks():
+            raise AssertionError("a wire block was read at xi2 = 0")
+            yield
+
+        banks, book = self._state([1000.0, 0.0])
+        stats = settle_wire_transfers(banks, book, blocks(), 0.0, InterbankLoanLedger(2),
+                                      ReserveBase.BROAD, 1)
+        assert stats.gross_volume == 0.0
+
     def test_no_deposits_no_flows(self):
         banks, book = self._state([0.0, 0.0])
         loans = InterbankLoanLedger(2)

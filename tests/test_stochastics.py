@@ -183,14 +183,15 @@ class TestRates:
             l5_spread=0.03,
         )
         rates = draw_period_rates(laws, _rng())
-        assert rates.r_l3 == 0.015
+        assert rates.r_interbank == 0.015
         assert rates.r_l5 == pytest.approx(0.045)
         assert np.all(rates.r_a2 == 0.03)
 
     def test_interbank_rate_shared_by_both_sides(self):
+        # one scalar per period, where the per-bank rates are arrays
         rates = draw_period_rates(BASELINE_LAWS, _rng(4))
-        assert rates.r_a3 == rates.r_l3
-        assert rates.r_l5 == pytest.approx(rates.r_l3 + 0.03)
+        assert isinstance(rates.r_interbank, float)
+        assert rates.r_l5 == pytest.approx(rates.r_interbank + 0.03)
 
     def test_retail_rate_mean(self):
         # many periods of per-bank draws; mean of Triangular(0.02, 0.03, 0.04) is 0.03
