@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .ledger import BankBalanceSheets, CustomerBook, sum_reserve
 from .stochastics import sample_triangular
 
@@ -48,8 +47,6 @@ def repay_customer_loans(banks: BankBalanceSheets, book: CustomerBook,
     ratios = sample_triangular(config.psi, rng, banks.n_banks)
     repaid = np.minimum(ratios * banks.l2, banks.a2)
     np.maximum(repaid, 0.0, out=repaid)
-    if not repaid.any():
-        return repaid
     factor = np.ones(banks.n_banks)
     funded = banks.l2 > 0
     factor[funded] = 1.0 - repaid[funded] / banks.l2[funded]
@@ -90,12 +87,7 @@ def realise_lending(banks: BankBalanceSheets, book: CustomerBook, potential: np.
     """
     share = sample_triangular(config.theta, rng, banks.n_banks)
     actual = share * potential
-    if not actual.any():
-        return np.zeros(banks.n_banks)
-    counts = book.counts()
-    if np.any((actual > 0) & (counts == 0)):
-        raise ConsistencyError("a bank with no customers cannot place new loan deposits")
-    per_head = np.divide(actual, counts, out=np.zeros(banks.n_banks), where=counts > 0)
+    per_head = actual / book.counts()
     book.l2 = book.l2 + per_head[book.assignment]
     banks.a2 = banks.a2 + actual
     banks.l2 = banks.l2 + actual

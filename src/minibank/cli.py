@@ -56,7 +56,7 @@ def _config_from_args(args) -> ScenarioConfig:
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:
-            raise SimulationError(f"--set expects KEY=VALUE, got {item!r}")
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         pairs.append((key.strip(), value.strip()))
     return config_from_pairs(pairs)
 

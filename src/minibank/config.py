@@ -68,10 +68,13 @@ class ScenarioConfig:
 
         for key, name in _FIELD_NAMES.items():
             value = getattr(self, name)
-            bounds = ((value.lower, value.peak, value.upper)
-                      if isinstance(value, TriangularParams) else (value,))
+            law = isinstance(value, TriangularParams)
+            bounds = (value.lower, value.peak, value.upper) if law else (value,)
             if not all(math.isfinite(v) for v in bounds if isinstance(v, float)):
                 bad(key, "must be finite")
+            if law and not bounds[0] <= bounds[1] <= bounds[2]:
+                bad(key, "triangular parameters must satisfy lower <= peak <= upper, "
+                         f"got {bounds}")
         if self.seed < 0:
             bad("seed", "must be a non-negative integer")
         if self.T < 0:
@@ -229,10 +232,7 @@ def _parse_tri(key: str, raw: str) -> TriangularParams:
     if len(parts) not in (1, 3):
         raise ConfigError(f"{key}: expected 'value' or 'lower, peak, upper', got {raw!r}")
     values = [_parse_float(key, p) for p in parts]
-    try:
-        return TriangularParams(*values) if len(values) == 3 else TriangularParams.point(*values)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    return TriangularParams(*values) if len(values) == 3 else TriangularParams.point(*values)
 
 
 def _parse_bool(key: str, raw: str) -> bool:

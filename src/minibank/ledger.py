@@ -83,8 +83,10 @@ class BankBalanceSheets:
 class CustomerBook:
     """Per-customer deposit balances and the fixed customer-to-bank assignment.
 
-    The assignment never changes after initialisation.  For every bank the
-    sum of its customers' l1 (l2) balances must equal the bank's l1 (l2).
+    The assignment never changes after initialisation, and ``initialise``
+    gives every bank a customer, so phases divide by ``counts()`` unchecked.
+    For every bank the sum of its customers' l1 (l2) balances must equal the
+    bank's l1 (l2).
     """
 
     assignment: np.ndarray  # (C,) bank index per customer
@@ -107,9 +109,10 @@ def initialise(config, rng: np.random.Generator):
     randomly assigned banks, equal bank equity, and no credit of any kind.
 
     Each customer draws its bank uniformly from ``rng``.  A drawn map that
-    leaves a bank without customers, which could then not take a wire
-    inflow, gives each such bank the last customer of the then largest bank
-    (lowest index on ties); C >= B leaves that bank at least one customer.
+    leaves a bank without customers gives each such bank the last customer
+    of the then largest bank (lowest index on ties); C >= B leaves that bank
+    at least one customer.  The map then covers every bank for the whole
+    run: the lending and wire phases divide by each bank's headcount.
     """
     B, C = config.B, config.C
     assignment = rng.integers(0, B, size=C)

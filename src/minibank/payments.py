@@ -116,11 +116,8 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     book.l2 = book.l2 * factor[book.assignment]
     fresh = ~funded & (new_l2 > 0)
     if np.any(fresh):
-        counts = book.counts()
-        if np.any(counts[fresh] == 0):
-            raise ConsistencyError("wire inflow to a bank with no customers cannot be attributed")
         per_head = np.zeros(B)
-        per_head[fresh] = new_l2[fresh] / counts[fresh]
+        per_head[fresh] = new_l2[fresh] / book.counts()[fresh]
         book.l2 = book.l2 + per_head[book.assignment]
     banks.l2 = book.bank_l2()
 

@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
-
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
@@ -43,27 +41,16 @@ class RngStreams:
     """Factory of independent, reproducible generators for one run."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if seed < 0:
-            raise ConfigError("seed: must be a non-negative integer")
-        self.seed = seed
+        self.seed = int(seed)
 
     def stream(self, label: str, period: int = 0) -> np.random.Generator:
         """Fresh generator for (label, period); identical keys give identical draws."""
-        try:
-            idx = _LABEL_INDEX[label]
-        except KeyError:
-            raise ConfigError(f"unknown stream label {label!r}") from None
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(idx, int(period)))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_LABEL_INDEX[label], int(period)))
         return np.random.Generator(np.random.PCG64(ss))
 
     def subseed(self, label: str) -> int:
         """Stable 64-bit key for the label, for keyed (stateless) draws."""
-        try:
-            idx = _LABEL_INDEX[label]
-        except KeyError:
-            raise ConfigError(f"unknown stream label {label!r}") from None
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(idx,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_LABEL_INDEX[label],))
         return int(ss.generate_state(2, dtype=np.uint64)[1])
 
 
@@ -96,18 +83,12 @@ def keyed_threshold_draw(subseed: int, *fields):
 
 @dataclass(frozen=True)
 class TriangularParams:
-    """Parameters (lower, peak, upper) of a triangular distribution."""
+    """Parameters (lower, peak, upper) of a triangular distribution; a
+    config's laws are checked by ScenarioConfig.validate."""
 
     lower: float
     peak: float
     upper: float
-
-    def __post_init__(self):
-        if not (self.lower <= self.peak <= self.upper):
-            raise ConfigError(
-                "triangular parameters must satisfy lower <= peak <= upper, "
-                f"got ({self.lower}, {self.peak}, {self.upper})"
-            )
 
     @classmethod
     def point(cls, value: float) -> "TriangularParams":

@@ -120,12 +120,15 @@ class TestKeyValueFormat:
         ("gamma_TR_noise", "inf"),
         ("r_L2", "inf"),
         ("r_A1", "0, 0.01, inf"),
+        ("r_A1", "nan, 0.01, 0.02"),  # a NaN bound fails every ordering too
         ("alpha", "inf"),
+        ("seed", "-1"),              # RngStreams leaves the seed rule to validate
     ])
     def test_out_of_range_values(self, key, value):
         endogenous = [("matching", "endogenous"), ("alpha", "1")] if key == "lambda" else []
         named = "alpha" if key == "matching" else key  # the key the message blames
-        with pytest.raises(ConfigError, match=f"^{named}: "):
+        rule = "must be finite" if "inf" in value or "nan" in value else ""
+        with pytest.raises(ConfigError, match=f"^{named}: {rule}"):
             config_from_pairs([("seed", "1"), *endogenous, (key, value)])
 
     def test_key_layout_bounds_banks_and_periods(self):
@@ -269,6 +272,7 @@ class TestCli:
     def test_bad_set_syntax(self, tmp_path, capsys):
         code = main(["run", "--seed", "1", "--set", "T4", "--out", str(tmp_path)])
         assert code == 1
+        assert capsys.readouterr().err.startswith("error: --set expects KEY=VALUE")
 
     @pytest.mark.parametrize("phis", ["0,abc", ""])
     def test_bad_phis_fail_cleanly(self, phis, capsys):

@@ -235,6 +235,32 @@ def test_no_unused_imports():
     assert not found
 
 
+# The modules of the state and its phases: they trust a validated config and
+# the state `initialise` built, so none of them raises (or names) ConfigError.
+_PHASE_MODULES = ("stochastics", "ledger", "interbank", "payments", "bank_credit",
+                  "central_bank", "equity")
+
+
+def test_no_phase_checks_config():
+    """Every config rule lives in ScenarioConfig.validate: no phase module
+    names ConfigError."""
+    found = []
+    for module in _PHASE_MODULES:
+        path = Path(minibank.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "ConfigError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 # SHA-256 of config_to_text, the text that config_hash digests and the
 # manifest lists: a key dropped, renamed, reordered or formatted otherwise
 # changes one of these.  The presets write alpha and lambda as none; the

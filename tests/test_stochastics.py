@@ -9,6 +9,7 @@ from minibank import (
     ScenarioConfig,
     TriangularParams,
     draw_period_rates,
+    get_preset,
     keyed_threshold_draw,
     random_row_stochastic,
     sample_triangular,
@@ -22,10 +23,10 @@ def _rng(seed=1, label="rates", period=0):
 
 class TestTriangular:
     def test_ordering_validated(self):
-        with pytest.raises(ConfigError):
-            TriangularParams(1.0, 0.5, 2.0)
-        with pytest.raises(ConfigError):
-            TriangularParams(0.0, 2.0, 1.0)
+        # ScenarioConfig.validate owns the rule, so a law built in Python names its key
+        for law in ((1.0, 0.5, 2.0), (0.0, 2.0, 1.0), (1, 0.5, 0)):
+            with pytest.raises(ConfigError, match="^psi: triangular parameters must satisfy"):
+                get_preset("baseline_perfect", seed=1, psi=TriangularParams(*law))
 
     def test_point_mass(self):
         law = TriangularParams.point(0.0)
@@ -219,9 +220,8 @@ class TestStreams:
                               other.stream("rates", 3).random(8))
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ConfigError):
+        # labels are the engine's own, so a wrong one is a programming error
+        with pytest.raises(KeyError):
             RngStreams(1).stream("nope")
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError):
-            RngStreams(-1)
+        with pytest.raises(KeyError):
+            RngStreams(1).subseed("nope")
