@@ -360,4 +360,10 @@ def validate_run(config: ScenarioConfig) -> list[tuple[str, bool, str]]:
         scale = np.maximum(1.0, np.abs(agg[asset]))
         gap = float((np.abs(agg[asset] - agg[liability]) / scale).max())
         rows.append((f"{name} duality", bool(gap <= TOL), f"max relative gap {gap:.3e}"))
+    # a1 relative to the state checks' per-bank scale, at every period end
+    relative = trace.item_series("a1") / np.maximum(1.0, np.abs(trace.sheets).sum(axis=2))
+    period, bank = np.unravel_index(np.argmin(relative), relative.shape)
+    low = float(relative[period, bank])
+    rows.append(("currency reserves non-negative", low >= -TOL,
+                 f"min relative a1 {low:.3e} (period {period + 1}, bank {bank})"))
     return rows

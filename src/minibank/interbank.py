@@ -81,9 +81,10 @@ class InterbankLoanLedger:
     on the receiver.
     An issuance carries the borrower's reserve-component weights
     snapshotted when it was created; repayments settle against that
-    snapshot, and it is freed when the last position of its issuance
-    closes.  Positions that share a key merge, which keeps the ledger size
-    bounded no matter how often claims get reassigned between creditors.
+    snapshot, which is kept for the rest of the run (at most three per
+    borrower per period).  Positions that share a key merge, which keeps
+    the ledger size bounded no matter how often claims get reassigned
+    between creditors.
     """
 
     def __init__(self, n_banks: int):
@@ -91,7 +92,6 @@ class InterbankLoanLedger:
         self.layout = KeyLayout(n_banks)
         self._amounts: dict[int, float] = {}
         self._weights: dict[int, tuple[float, float, float]] = {}  # by issuance key
-        self._live: dict[int, int] = {}  # open positions per issuance
         self._by_lender: list[list[int]] = [[] for _ in range(n_banks)]  # sorted keys
 
     def __len__(self) -> int:
@@ -123,7 +123,6 @@ class InterbankLoanLedger:
             self._amounts[key] += amount
         else:
             self._amounts[key] = amount
-            self._live[issue] = self._live.get(issue, 0) + 1
             insort(self._by_lender[lender], key)
 
     def amount(self, key: int) -> float:
@@ -140,10 +139,6 @@ class InterbankLoanLedger:
         del self._amounts[key]
         held = self._by_lender[key >> self.layout.lender_shift & self.layout.bank_mask]
         del held[bisect_left(held, key)]
-        issue = key & self.layout.issue_mask
-        self._live[issue] -= 1
-        if not self._live[issue]:
-            del self._live[issue], self._weights[issue]
 
     def sorted_keys(self) -> list[int]:
         """All outstanding positions in canonical order."""
@@ -178,7 +173,7 @@ class InterbankLoanLedger:
             return 0.0, 0.0
         if from_bank == to_bank:
             raise LedgerError("cannot reassign claims to their current holder")
-        amounts, live, layout = self._amounts, self._live, self.layout
+        amounts, layout = self._amounts, self.layout
         held = self._by_lender[from_bank]
         on_self = to_bank << 2
         borrower_field = layout.bank_mask << 2
@@ -206,11 +201,11 @@ class InterbankLoanLedger:
 
         # Rebook claims on third banks to to_bank: reduce then add, inlined.
         # The rebooked part is a positive float of a position that keeps its
-        # issuance, so nothing is converted and the stored snapshot stays; a
-        # claim that moves whole leaves its issuance's live count as it was.
-        # Where rounding ends a claim short of take, the dust comes from the
-        # next claim in line.  Each walk stops as soon as moved reaches take,
-        # so every part is positive.  Closed keys leave held after the walk.
+        # issuance, so nothing is converted and the issuance's snapshot
+        # serves it as it is.  Where rounding ends a claim short of take, the
+        # dust comes from the next claim in line.  Each walk stops as soon as
+        # moved reaches take, so every part is positive.  Closed keys leave
+        # held after the walk.
         to_held = self._by_lender[to_bank]
         to_lender = to_bank << layout.lender_shift
         clear_lender = layout.issue_mask
@@ -222,23 +217,17 @@ class InterbankLoanLedger:
             amount = amounts[key]
             part = min(take - moved, amount)
             left = amount - part
-            closed = not left > 0.0
-            if closed:
+            if left > 0.0:
+                amounts[key] = left
+            else:
                 del amounts[key]
                 gone.append(key)
-            else:
-                amounts[key] = left
-            issue = key & clear_lender
-            new = issue | to_lender
+            new = key & clear_lender | to_lender
             if new in amounts:
                 amounts[new] += part
-                if closed:
-                    live[issue] -= 1  # the merged position keeps it open
             else:
                 amounts[new] = part
                 insort(to_held, new)
-                if not closed:
-                    live[issue] += 1
             moved += part
             if moved >= take:
                 break

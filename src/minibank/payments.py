@@ -78,7 +78,7 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
 
     Every bank sends a fraction xi2 of its loan-deposit stock along its row
     of the (B, B) wire matrix, given as row blocks top to bottom as for
-    ``settle_cash_payments``; when no deposit is sent, no block is read.
+    ``settle_cash_payments``; at xi2 = 0 no block is read.
     The matrix is row stochastic; a diagonal entry is a self-payment and
     nets to nothing.  No currency moves: positions are netted across all
     counterparties at once, each bank's loan deposits change by its net
@@ -95,14 +95,12 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     if banks.l2.min() < 0:
         raise ConsistencyError("loan deposits negative before wire transfers")
     gross = xi2 * banks.l2
-    if gross.sum() == 0.0:
-        return WireTransferStats(0.0, 0.0, 0)
 
     # the blocks may share one buffer, so each is copied before the next is drawn
     volumes = gross[:, None] * np.vstack([block.copy() for block in blocks])
     net = volumes.sum(axis=0) - volumes.sum(axis=1)  # inflow minus outflow per bank
 
-    old_l2 = banks.l2.copy()
+    old_l2 = banks.l2
     new_l2 = old_l2 + net
     if new_l2.min() < -TOL * max(1.0, float(old_l2.max())):
         raise ConsistencyError("wire netting drove a bank's loan deposits negative")

@@ -30,7 +30,7 @@ W_A1 = (1.0, 0.0, 0.0)
 
 
 def _issuances(loans):
-    """Snapshotted issuances and live ones, each as (period, borrower, kind)."""
+    """Snapshotted issuances and open ones, each as (period, borrower, kind)."""
     unpack = loans.layout.unpack
     live = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans.sorted_keys())}
     snapshots = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans._weights)}
@@ -86,6 +86,14 @@ class TestLedger:
         assert all(type(w) is float for w in snapshot)
         with pytest.raises(LedgerError):
             loans.add(2, 1, 2, LoanKind.POOLED, 1.0, (0.25, 0.5, 0.25))
+
+    def test_snapshot_conflict_refused_after_issuance_closes(self):
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)
+        loans.reduce(_key(loans, 2, 0, 1, LoanKind.WIRE), 10.0)
+        assert len(loans) == 0
+        with pytest.raises(LedgerError, match="conflicting weight snapshots"):
+            loans.add(2, 1, 2, LoanKind.WIRE, 1.0, (0.5, 0.0, 0.5))
 
     def test_sums_by_side(self):
         loans = InterbankLoanLedger(3)
@@ -150,7 +158,8 @@ class TestLedger:
         loans.reduce(_key(loans, 2, 0, 1, LoanKind.WIRE), 10.0)
         assert _issuances(loans) == ({(2, 1, LoanKind.WIRE)},) * 2
         loans.reduce(_key(loans, 2, 2, 1, LoanKind.WIRE), 5.0)
-        assert _issuances(loans) == (set(), set())
+        assert _issuances(loans) == ({(2, 1, LoanKind.WIRE)}, set())
+        assert loans.weights_for(_key(loans, 2, 0, 1, LoanKind.WIRE)) == W_A1
 
     def test_snapshot_follows_a_moved_claim(self):
         weights = (0.25, 0.25, 0.5)
@@ -158,18 +167,16 @@ class TestLedger:
         loans.add(0, 2, 1, LoanKind.POOLED, 30.0, weights)
         loans.reassign_claims(0, 1, 30.0)
         assert _tuples(loans, loans.sorted_keys()) == [(1, 1, 2, LoanKind.POOLED)]
-        assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
         assert loans.weights_for(_key(loans, 1, 1, 2, LoanKind.POOLED)) == weights
-        loans.reassign_claims(1, 2, 30.0)  # back to the borrower: cancelled
-        assert _issuances(loans) == (set(), set())
 
-    def test_snapshot_freed_by_self_claim_cancellation(self):
+    def test_snapshot_kept_through_self_claim_cancellation(self):
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 1, LoanKind.WIRE, 50.0, W_A1)
         loans.add(0, 2, 1, LoanKind.POOLED, 30.0, W_A1)
         moved, cancelled = loans.reassign_claims(0, 1, 80.0)
         assert (moved, cancelled) == (80.0, 50.0)
-        assert _issuances(loans) == ({(1, 2, LoanKind.POOLED)},) * 2
+        assert _issuances(loans) == ({(1, 1, LoanKind.WIRE), (1, 2, LoanKind.POOLED)},
+                                     {(1, 2, LoanKind.POOLED)})
 
 
 def _reference_reassign(loans, from_bank, to_bank, requested, include_self=True):
@@ -254,10 +261,7 @@ def test_reassign_matches_sort_and_sum_reference(include_self, data):
         assert got == want
         assert {k: ledger.amount(k) for k in ledger.sorted_keys()} == \
             {k: reference.amount(k) for k in reference.sorted_keys()}
-        snapshots, live = _issuances(ledger)
-        assert (snapshots, live) == _issuances(reference)
-        assert snapshots == live
-        assert ledger._live == reference._live
+        assert _issuances(ledger) == _issuances(reference)
         for bank in range(n_banks):
             assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys()
                                                if ledger.layout.unpack(k)[1] == bank]
@@ -283,15 +287,14 @@ def test_packed_keys_sort_as_tuples_and_round_trip(n_banks, data):
     assert [f.tolist() for f in fields] == [list(columns[i]) for i in (1, 2, 0, 3)]
 
 
-def test_snapshots_live_exactly_as_long_as_their_issuance():
+def test_every_open_issuance_has_a_float_snapshot():
     config = get_preset("baseline_perfect", seed=20260808)
     streams = RngStreams(config.seed)
     state = init_state(config, streams)
     for _ in range(config.T):
         run_period(state, config, streams)
         snapshots, live = _issuances(state.loans)
-        assert len(snapshots) == len(live), f"period {state.period}"
-        assert snapshots == live
+        assert live <= snapshots, f"period {state.period}"
         assert all(type(weights) is tuple and len(weights) == 3
                    and all(type(w) is float for w in weights)
                    for weights in state.loans._weights.values())
