@@ -69,8 +69,8 @@ def emit_trace_artifacts(trace: SimulationTrace, out_dir, figure: int | None = N
     """Write per-bank, aggregate and histogram CSVs plus the manifest.
 
     With ``figure`` set, an extra figure<N>.csv holds the aggregate-column
-    subset backing that chart.  An empty trace (T = 0) yields header-only
-    CSVs.  Returns the written paths keyed by artifact name.
+    subset backing that chart.  Returns the written paths keyed by artifact
+    name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -78,10 +78,9 @@ def emit_trace_artifacts(trace: SimulationTrace, out_dir, figure: int | None = N
     sheets = trace.sheets.reshape(T * B, len(ITEM_NAMES))
     per_bank = [[t for t in range(1, T + 1) for _ in range(B)], list(range(B)) * T,
                 *sheets.T.tolist(), trace.profit.ravel().tolist()]
-    # the last period's sheets, none when T = 0
-    terminal = trace.sheets[-1:].reshape(-1, len(ITEM_NAMES))
-    histogram = [list(range(len(terminal))), *terminal[:, _HISTOGRAM_ITEMS].T.tolist(),
-                 trace.profit[-1:].ravel().tolist()]
+    terminal = trace.sheets[-1]
+    histogram = [list(range(B)), *terminal[:, _HISTOGRAM_ITEMS].T.tolist(),
+                 trace.profit[-1].tolist()]
 
     paths = {
         "per_bank": _write_csv(out / "per_bank.csv", PER_BANK_HEADER, per_bank),

@@ -26,7 +26,7 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     post-pooling holding): the guarantee must complete the reserve level
     to exactly the target.  Returns per-bank granted amounts.
     """
-    scale = bank_scale(banks)
+    scale = bank_scale(banks.snapshot())
     raw = np.maximum(np.asarray(unmet, dtype=float), 0.0)
     grant = np.where(raw > TOL * scale, raw, 0.0)
     wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)

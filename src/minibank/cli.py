@@ -22,7 +22,6 @@ from .config import (
     preset_names,
 )
 from .engine import (
-    CHECK_CADENCES,
     compare_phis,
     derive_seeds,
     run_ensemble,
@@ -49,7 +48,7 @@ def _config_from_args(args) -> ScenarioConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"--config: cannot read {args.config}: {exc}") from None
         pairs.extend(parse_config_text(text))
-    if args.preset:
+    if args.preset is not None:
         pairs.append(("preset", args.preset))
     if args.seed is not None:
         pairs.append(("seed", str(args.seed)))
@@ -64,7 +63,7 @@ def _config_from_args(args) -> ScenarioConfig:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     start = time.perf_counter()
-    trace = run_scenario(config, check=args.check)
+    trace = run_scenario(config)
     elapsed = time.perf_counter() - start
     paths = emit_trace_artifacts(trace, args.out, figure=args.figure, wall_time=elapsed)
     metrics = trace_metrics(trace)
@@ -79,7 +78,7 @@ def _cmd_run(args) -> int:
 def _cmd_ensemble(args) -> int:
     config = _config_from_args(args)
     start = time.perf_counter()
-    result = run_ensemble(config, derive_seeds(config.seed, args.seeds), check=args.check)
+    result = run_ensemble(config, derive_seeds(config.seed, args.seeds))
     elapsed = time.perf_counter() - start
     paths = emit_ensemble_artifacts(result, args.out, wall_time=elapsed)
     print(f"ran {result.n_seeds} seeds in {elapsed:.2f}s")
@@ -95,7 +94,7 @@ def _cmd_compare(args) -> int:
     except ValueError:
         raise ConfigError(f"--phis: expected comma-separated numbers, got {args.phis!r}") from None
     start = time.perf_counter()
-    compare = compare_phis(config, phis=phis, n_seeds=args.seeds, check=args.check)
+    compare = compare_phis(config, phis=phis, n_seeds=args.seeds)
     elapsed = time.perf_counter() - start
     print(format_compare_table(compare))
     print(f"({elapsed:.2f}s)")
@@ -133,15 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
     run.add_argument("--figure", type=int, choices=sorted(FIGURE_COLUMNS),
                      help="also emit the aggregate-column subset for this chart")
-    run.add_argument("--check", choices=CHECK_CADENCES, default="period",
-                     help="identity-check cadence (default once per period)")
     run.set_defaults(func=_cmd_run)
 
     ens = sub.add_parser("ensemble", help="run one scenario under many derived seeds")
     _add_config_arguments(ens)
     ens.add_argument("--seeds", type=int, default=30, metavar="N", help="number of runs")
     ens.add_argument("--out", required=True, metavar="DIR")
-    ens.add_argument("--check", choices=CHECK_CADENCES, default="period")
     ens.set_defaults(func=_cmd_ensemble)
 
     cmp_ = sub.add_parser("compare", help="sweep phi over shared-shock seeds")
@@ -150,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated pooling qualities (default 0,0.4,0.8)")
     cmp_.add_argument("--seeds", type=int, default=30, metavar="N")
     cmp_.add_argument("--out", metavar="DIR", help="optionally write compare_summary.csv")
-    cmp_.add_argument("--check", choices=CHECK_CADENCES, default="period")
     cmp_.set_defaults(func=_cmd_compare)
 
     val = sub.add_parser("validate", help="run the invariant suite on one scenario")

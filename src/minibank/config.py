@@ -77,8 +77,8 @@ class ScenarioConfig:
                          f"got {bounds}")
         if self.seed < 0:
             bad("seed", "must be a non-negative integer")
-        if self.T < 0:
-            bad("T", "must be non-negative")
+        if self.T < 1:
+            bad("T", "must be at least 1")
         if self.B < 2:
             bad("B", "need at least two banks")
         last_period = KeyLayout(self.B).last_period
@@ -339,7 +339,7 @@ def config_from_pairs(pairs) -> ScenarioConfig:
             raise ConfigError(f"unknown key {key!r}")
         explicit[_FIELD_NAMES[key]] = _parse_value(key, raw)
 
-    fields = _preset_fields(preset_name) if preset_name else {}
+    fields = _preset_fields(preset_name) if preset_name is not None else {}
     fields.update(explicit)
     if "seed" not in fields:
         raise ConfigError("seed: missing (a seed is mandatory; runs never seed from the clock)")

@@ -31,6 +31,7 @@ from .ledger import (
     TOL,
     BankBalanceSheets,
     CustomerBook,
+    bank_scale,
     check_identities,
     initialise,
     sum_reserve,
@@ -247,10 +248,10 @@ def trace_metrics(trace: SimulationTrace) -> dict[str, float]:
         "cumulative_customer_lending": float(agg["new_customer_lending"].sum()),
         "cumulative_interbank_issued": float(agg["interbank_issued"].sum()),
         "cumulative_guarantees": float(agg["guarantees_granted"].sum()),
-        "terminal_equity": float(agg["l4"][-1]) if trace.n_periods else float(trace.initial[:, 8].sum()),
-        "terminal_money": float(agg["money_total"][-1]) if trace.n_periods else float(trace.initial[:, 5].sum()),
-        "mean_profit": float(trace.profit.mean()) if trace.n_periods else 0.0,
-        "guarantee_positive_share": float(positive.mean()) if trace.n_periods else 0.0,
+        "terminal_equity": float(agg["l4"][-1]),
+        "terminal_money": float(agg["money_total"][-1]),
+        "mean_profit": float(trace.profit.mean()),
+        "guarantee_positive_share": float(positive.mean()),
         "first_guarantee_period": float(first),
     }
 
@@ -352,8 +353,6 @@ def validate_run(config: ScenarioConfig) -> list[tuple[str, bool, str]]:
         return [("per-phase identity, currency and ledger checks", False, str(exc))]
     rows = [("per-phase identity, currency and ledger checks", True,
              f"all {config.T} periods within {TOL:g}")]
-    if not trace.n_periods:
-        return rows
     agg = trace.aggregates
     for name, asset, liability in (("interbank", "a3", "l3"), ("equity", "a4", "l4"),
                                    ("guarantee", "a5", "l5")):
@@ -361,7 +360,7 @@ def validate_run(config: ScenarioConfig) -> list[tuple[str, bool, str]]:
         gap = float((np.abs(agg[asset] - agg[liability]) / scale).max())
         rows.append((f"{name} duality", bool(gap <= TOL), f"max relative gap {gap:.3e}"))
     # a1 relative to the state checks' per-bank scale, at every period end
-    relative = trace.item_series("a1") / np.maximum(1.0, np.abs(trace.sheets).sum(axis=2))
+    relative = trace.item_series("a1") / bank_scale(trace.sheets)
     period, bank = np.unravel_index(np.argmin(relative), relative.shape)
     low = float(relative[period, bank])
     rows.append(("currency reserves non-negative", low >= -TOL,

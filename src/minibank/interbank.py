@@ -459,8 +459,6 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     grid = np.zeros((B, B))
     for b in borrowers:
         matched = np.flatnonzero(state.actual[:, b])
-        if matched.size == 0:
-            continue
         pool = state.excess[matched].sum()
         if pool <= 0:
             continue

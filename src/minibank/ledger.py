@@ -169,10 +169,10 @@ def reserve_weights(banks: BankBalanceSheets,
 TOL = 1e-9
 
 
-def bank_scale(banks: BankBalanceSheets) -> np.ndarray:
-    """Per-bank scale of the state checks: the bank's total gross position,
-    at least one."""
-    return np.maximum(1.0, np.abs(banks.snapshot()).sum(axis=1))
+def bank_scale(sheets: np.ndarray) -> np.ndarray:
+    """Per-bank scale of the state checks from (..., 10) sheets: the bank's
+    total gross position, at least one."""
+    return np.maximum(1.0, np.abs(sheets).sum(axis=-1))
 
 
 def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
@@ -182,7 +182,7 @@ def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
     Raises ``error`` naming the part and bank where it exceeds ``TOL``; a
     NaN residual counts as exceeding it.
     """
-    relative = np.stack(list(residuals.values())) / bank_scale(banks)
+    relative = np.stack(list(residuals.values())) / bank_scale(banks.snapshot())
     worst = float(relative.max())
     if not worst <= TOL:
         part, bank = np.unravel_index(np.argmax(relative), relative.shape)

@@ -95,7 +95,7 @@ class TriangularParams:
         return cls(value, value, value)
 
 
-def sample_triangular(params: TriangularParams, rng: np.random.Generator, size=None):
+def sample_triangular(params: TriangularParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF triangular sampling, one uniform per draw.
 
     A degenerate law (lower == upper) is a point mass and consumes no draws,
@@ -103,14 +103,13 @@ def sample_triangular(params: TriangularParams, rng: np.random.Generator, size=N
     """
     a, c, b = params.lower, params.peak, params.upper
     if a == b:
-        return a if size is None else np.full(size, float(a))
+        return np.full(size, float(a))
     u = rng.random(size)
     span = b - a
     fc = (c - a) / span
     left = a + np.sqrt(u * span * (c - a))
     right = b - np.sqrt((1.0 - u) * span * (b - c))
-    out = np.where(u < fc, left, right)
-    return float(out) if size is None else out
+    return np.where(u < fc, left, right)
 
 
 # NumPy 2.4 copies an operand broadcast along rows through its ufunc buffer
@@ -185,6 +184,6 @@ def draw_period_rates(config: ScenarioConfig, rng: np.random.Generator) -> RateS
     r_a2 = sample_triangular(config.r_A2, rng, config.B)
     r_l1 = sample_triangular(config.r_L1, rng, config.B)
     r_l2 = sample_triangular(config.r_L2, rng, config.B)
-    r_ib = float(sample_triangular(config.r_interbank, rng))
+    r_ib = float(sample_triangular(config.r_interbank, rng, 1)[0])
     return RateSet(r_a1=r_a1, r_a2=r_a2, r_l1=r_l1, r_l2=r_l2, r_interbank=r_ib,
                    r_l5=r_ib + config.l5_spread)

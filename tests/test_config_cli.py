@@ -69,6 +69,13 @@ class TestPresets:
         with pytest.raises(ConfigError, match="see `minibank presets`"):
             config_from_pairs([("preset", "nope"), ("seed", "1")])
 
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_preset_refused(self, value):
+        with pytest.raises(ConfigError, match="^preset: unknown preset ''"):
+            config_from_pairs([("seed", "1"), ("preset", value)])
+        with pytest.raises(ConfigError, match="^preset: unknown preset ''"):
+            config_from_pairs(parse_config_text(f"seed = 1\npreset ={value}\n"))
+
 
 class TestKeyValueFormat:
     def test_round_trip_default(self):
@@ -108,6 +115,7 @@ class TestKeyValueFormat:
         ("B", "1"),
         ("C", "5"),                 # fewer customers than the default ten banks
         ("T", "-3"),
+        ("T", "0"),                  # a run models at least one period
         ("A1_0", "0"),
         ("A4_0", "-1"),
         ("matching", "endogenous"),  # without alpha
@@ -146,7 +154,7 @@ class TestKeyValueFormat:
         with pytest.raises(ConfigError, match="^T: "):
             config(2**30, 2)
         with pytest.raises(ConfigError, match="^B: "):
-            config(2**30 + 1, 0)
+            config(2**30 + 1, 1)
         for B, T in ((100, last), (2**30, 1)):
             layout = KeyLayout(B)
             key = layout.pack(T, B - 1, B - 2, LoanKind.ROLLOVER)
@@ -179,11 +187,6 @@ class TestArtifacts:
         per_bank = paths["per_bank"].read_text().splitlines()
         assert per_bank[0] == ",".join(PER_BANK_HEADER)
         assert len(per_bank) == 1 + 3 * 4
-
-    def test_empty_trace_gives_header_only_files(self, tmp_path):
-        paths = emit_trace_artifacts(self._trace(T=0), tmp_path)
-        for name in ("per_bank", "aggregate", "histogram"):
-            assert len(paths[name].read_text().splitlines()) == 1
 
     def test_values_round_trip_exactly(self, tmp_path):
         trace = self._trace()
@@ -262,12 +265,16 @@ class TestCli:
         code = main(["validate", "--preset", "baseline_perfect", "--seed", "5",
                      "--set", "T=3", "--set", "C=80", "--set", "B=4"])
         assert code == 0
-        assert "[PASS]" in capsys.readouterr().out
+        assert "[PASS] per-phase identity, currency and ledger checks" in capsys.readouterr().out
 
     def test_missing_seed_fails_cleanly(self, tmp_path, capsys):
         code = main(["run", "--preset", "fig1_left", "--out", str(tmp_path)])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_empty_preset_flag_fails_cleanly(self, tmp_path, capsys):
+        assert main(["run", "--seed", "1", "--preset", "", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: preset: unknown preset ''")
 
     def test_bad_set_syntax(self, tmp_path, capsys):
         code = main(["run", "--seed", "1", "--set", "T4", "--out", str(tmp_path)])
@@ -303,6 +310,9 @@ class TestCli:
         ("l5_spread", ["B=4", "C=40", "T=5", "l5_spread=inf"]),
         # 2**47 periods would overflow a 100-bank ledger key
         ("T", ["B=100", "C=100", f"T={2**47}"]),
+        ("T", ["T=0"]),
+        # an empty preset name once ran the defaults with no preset
+        ("preset", ["preset="]),
     ])
     def test_rejected_config_is_one_error_line(self, key, sets, tmp_path, capsys):
         args = ["run", "--seed", "3", "--out", str(tmp_path)]

@@ -72,12 +72,6 @@ class TestRunScenario:
             assert np.array_equal(a.aggregates[name], b.aggregates[name])
         assert config_hash(a.config) == config_hash(b.config)
 
-    def test_zero_periods_keeps_only_the_initial_state(self):
-        trace = run_scenario(_small(T=0))
-        assert trace.n_periods == 0
-        assert trace.sheets.shape == (0, 4, 10)
-        assert trace.initial.shape == (4, 10)
-
     def test_trace_shapes(self):
         trace = run_scenario(_small(T=7))
         assert trace.sheets.shape == (7, 4, 10)

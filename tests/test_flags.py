@@ -85,10 +85,12 @@ def test_relaxed_target_base_lends_more():
 def test_checks_cannot_be_switched_off(tmp_path, capsys):
     with pytest.raises(ConfigError, match="phase/period"):
         run_scenario(_config(T=1), check="off")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--seed", "1", "--check", "off", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "invalid choice: 'off'" in capsys.readouterr().err
+    # the CLI always checks once per period; `validate` is its per-phase check
+    for command in ("run", "ensemble", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--check", "period", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --check period" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("behaviour", list(LendingBehaviour))
@@ -116,7 +118,7 @@ def small_configs(draw):
     return get_preset(
         draw(st.sampled_from(preset_names())),
         seed=draw(st.integers(0, 2**32)),
-        T=draw(st.integers(0, 20)),
+        T=draw(st.integers(1, 20)),
         B=B,
         C=B * draw(st.integers(1, 8)),
         behaviour=draw(st.sampled_from(LendingBehaviour)),

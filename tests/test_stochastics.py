@@ -30,7 +30,7 @@ class TestTriangular:
 
     def test_point_mass(self):
         law = TriangularParams.point(0.0)
-        assert sample_triangular(law, _rng()) == 0.0
+        assert sample_triangular(law, _rng(), size=1).tolist() == [0.0]
         assert np.all(sample_triangular(law, _rng(), size=10) == 0.0)
 
     def test_point_mass_consumes_no_draws(self):
