@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import __version__
-from .config import ScenarioConfig, config_hash, config_to_pairs
+from .config import ScenarioConfig, config_hash, config_to_text
 from .engine import AGGREGATE_COLUMNS, CompareResult, EnsembleResult, METRIC_KEYS, SimulationTrace
 from .errors import ConfigError
 from .ledger import ITEM_NAMES
@@ -59,8 +59,7 @@ def _write_manifest(path: Path, config: ScenarioConfig, wall_time: float | None)
     if wall_time is not None:
         # excluded from the byte-determinism contract
         lines.append(f"# wall_time_s = {wall_time:.3f}")
-    lines.extend(f"{key} = {value}" for key, value in config_to_pairs(config))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n" + config_to_text(config))
     return path
 
 

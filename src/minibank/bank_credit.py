@@ -50,7 +50,7 @@ def repay_customer_loans(banks: BankBalanceSheets, book: CustomerBook,
     factor = np.ones(banks.n_banks)
     funded = banks.l2 > 0
     factor[funded] = 1.0 - repaid[funded] / banks.l2[funded]
-    book.l2 = book.l2 * factor[book.assignment]
+    book.l2 = book.l2 * factor
     banks.a2 = banks.a2 - repaid
     banks.l2 = banks.l2 - repaid
     return repaid
@@ -82,13 +82,13 @@ def realise_lending(banks: BankBalanceSheets, book: CustomerBook, potential: np.
     """Grant the absorbed share of each bank's lending target, drawn per
     bank from ``theta``.
 
-    Retail loans and loan deposits grow together; the new deposits are
-    split equally across the bank's customers.  Returns per-bank amounts.
+    Retail loans and loan deposits grow together; the bank's loan-deposit
+    balance, held by each of its customers, grows by the amount over its
+    headcount.  Returns per-bank amounts.
     """
     share = sample_triangular(config.theta, rng, banks.n_banks)
     actual = share * potential
-    per_head = actual / book.counts()
-    book.l2 = book.l2 + per_head[book.assignment]
+    book.l2 = book.l2 + actual / book.counts
     banks.a2 = banks.a2 + actual
     banks.l2 = banks.l2 + actual
     return actual

@@ -27,9 +27,9 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     to exactly the target.  Returns per-bank granted amounts.
     """
     scale = bank_scale(banks.snapshot())
-    raw = np.maximum(np.asarray(unmet, dtype=float), 0.0)
+    raw = np.maximum(unmet, 0.0)
     grant = np.where(raw > TOL * scale, raw, 0.0)
-    wanted = np.maximum(np.asarray(expected, dtype=float), 0.0)
+    wanted = np.maximum(expected, 0.0)
     gap = np.abs(raw - wanted)
     if np.any(gap > TOL * scale):
         bank = int(np.argmax(gap / scale))

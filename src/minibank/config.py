@@ -290,18 +290,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def config_to_pairs(config: ScenarioConfig) -> list[tuple[str, str]]:
-    pairs = []
-    for key, name in _FIELD_NAMES.items():
-        value = getattr(config, name)
-        if key == "preset" and value is None:
-            continue
-        pairs.append((key, _format_value(value)))
-    return pairs
-
-
 def config_to_text(config: ScenarioConfig) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in config_to_pairs(config))
+    return "".join(f"{key} = {_format_value(getattr(config, name))}\n"
+                   for key, name in _FIELD_NAMES.items()
+                   if key != "preset" or config.preset is not None)
 
 
 def config_hash(config: ScenarioConfig) -> str:

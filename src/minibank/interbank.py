@@ -1,12 +1,13 @@
 """Interbank credit: the outstanding-loan ledger, stochastic repayment, and
 the per-period reserve pooling that matches surplus banks to shortage banks.
 
-The ledger is the book of record for interbank positions: every update to
-the balance-sheet items a3 and l3 goes through it, so per-bank ledger sums
-and sheet items agree at all times.  Reserve transfers settle partly in
-claims held on third banks; those legs are implemented as reassignment of
-ledger entries from one creditor to another, with claims a bank would end
-up holding on itself cancelled outright.
+The ledger is the book of record for interbank positions: each phase books
+in it every change it makes to the balance-sheet items a3 and l3, and the
+state check holds per-bank ledger sums and sheet items equal within ``TOL``.
+Reserve transfers settle partly in claims held on third banks; those legs
+are implemented as reassignment of ledger entries from one creditor to
+another, with claims a bank would end up holding on itself cancelled
+outright.
 """
 
 from __future__ import annotations
@@ -99,14 +100,14 @@ class InterbankLoanLedger:
 
     def add(self, lender: int, borrower: int, period: int, kind: LoanKind,
             amount: float, weights: tuple[float, float, float]) -> None:
-        """Book ``amount`` on the position, merging into an open one.
+        """Book a positive ``amount`` on the position, merging into an open one.
 
         ``weights`` is the issuance's snapshot, a tuple of three floats as
         ``reserve_weights`` gives it.  Banks and period are Python ints and
         ``amount`` a Python float; all are used as given, not converted.
         """
-        if amount <= 0:
-            return
+        if not amount > 0:
+            raise LedgerError(f"cannot book a non-positive amount {amount!r}")
         if lender == borrower:
             raise LedgerError("a bank cannot lend to itself")
         if not (0 <= lender < self.n_banks and 0 <= borrower < self.n_banks):
@@ -368,7 +369,7 @@ def compute_pooling_state(banks: BankBalanceSheets, base: ReserveBase, target_ra
     B = banks.n_banks
     reserve = sum_reserve(banks, base)
     dep = banks.deposits()
-    target = np.asarray(target_ratio * dep, dtype=float)
+    target = target_ratio * dep
 
     surplus = reserve > target
     shortage = reserve < target

@@ -81,27 +81,27 @@ class BankBalanceSheets:
 
 @dataclass
 class CustomerBook:
-    """Per-customer deposit balances and the fixed customer-to-bank assignment.
+    """Per-customer cash, per-bank loan deposits and the customer-to-bank map.
 
-    The assignment never changes after initialisation, and ``initialise``
-    gives every bank a customer, so phases divide by ``counts()`` unchecked.
-    For every bank the sum of its customers' l1 (l2) balances must equal the
-    bank's l1 (l2).
+    A bank's new loan deposits are split equally across its customers and
+    every later change is pro rata, so all of a bank's customers hold one
+    loan-deposit balance: ``l2`` stores it once per bank.  The map and its
+    headcounts never change after ``initialise``, which gives every bank a
+    customer, so phases divide by ``counts`` unchecked.  For every bank the
+    sum of its customers' l1 (l2) balances must equal the bank's l1 (l2).
     """
 
     assignment: np.ndarray  # (C,) bank index per customer
+    counts: np.ndarray      # (B,) customers per bank
     l1: np.ndarray          # (C,) currency deposits
-    l2: np.ndarray          # (C,) loan deposits
-    n_banks: int
-
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_banks)
+    l2: np.ndarray          # (B,) loan deposits held by each customer of the bank
 
     def bank_l1(self) -> np.ndarray:
-        return np.bincount(self.assignment, weights=self.l1, minlength=self.n_banks)
+        return np.bincount(self.assignment, weights=self.l1, minlength=self.counts.size)
 
     def bank_l2(self) -> np.ndarray:
-        return np.bincount(self.assignment, weights=self.l2, minlength=self.n_banks)
+        return np.bincount(self.assignment, weights=self.l2[self.assignment],
+                           minlength=self.counts.size)
 
 
 def initialise(config, rng: np.random.Generator):
@@ -111,8 +111,8 @@ def initialise(config, rng: np.random.Generator):
     Each customer draws its bank uniformly from ``rng``.  A drawn map that
     leaves a bank without customers gives each such bank the last customer
     of the then largest bank (lowest index on ties); C >= B leaves that bank
-    at least one customer.  The map then covers every bank for the whole
-    run: the lending and wire phases divide by each bank's headcount.
+    at least one customer.  The map and its headcounts then hold for the
+    whole run: the lending and wire phases divide by each bank's headcount.
     """
     B, C = config.B, config.C
     assignment = rng.integers(0, B, size=C)
@@ -122,9 +122,9 @@ def initialise(config, rng: np.random.Generator):
 
     book = CustomerBook(
         assignment=assignment,
+        counts=np.bincount(assignment, minlength=B),
         l1=np.full(C, config.A1_0 / C),
-        l2=np.zeros(C),
-        n_banks=B,
+        l2=np.zeros(B),
     )
     banks = BankBalanceSheets.zeros(B)
     banks.l1 = book.bank_l1()

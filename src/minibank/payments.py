@@ -85,9 +85,9 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     flow, and a bank with a net inflow has implicitly lent it (new a3)
     while a net outflow is borrowed (new l3).  The payers' net positions
     are matched to the receivers pro rata and recorded in the loan ledger,
-    so ledger totals track the new balance-sheet items exactly.  Paying
-    banks draw their customers' balances down pro rata; receiving banks
-    credit theirs pro rata (equally when the receiving pool is empty).
+    so ledger totals track the new balance-sheet items exactly.  Each
+    bank's per-customer loan-deposit balance scales with its stock; a bank
+    whose stock was empty splits its inflow equally across its customers.
     """
     B = banks.n_banks
     if xi2 == 0.0:
@@ -111,12 +111,9 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     factor = np.ones(B)
     funded = old_l2 > 0
     factor[funded] = new_l2[funded] / old_l2[funded]
-    book.l2 = book.l2 * factor[book.assignment]
+    book.l2 = book.l2 * factor
     fresh = ~funded & (new_l2 > 0)
-    if np.any(fresh):
-        per_head = np.zeros(B)
-        per_head[fresh] = new_l2[fresh] / book.counts()[fresh]
-        book.l2 = book.l2 + per_head[book.assignment]
+    book.l2[fresh] += new_l2[fresh] / book.counts[fresh]
     banks.l2 = book.bank_l2()
 
     lenders = np.flatnonzero(net > 0)

@@ -7,15 +7,21 @@ from minibank import BankBalanceSheets, CustomerBook
 def consistent_state(l1, l2, assignment, n_banks):
     """Banks and customer book built from per-customer balances.
 
-    Every bank starts with a1 = l1 and a2 = l2 (cash fully reserved, loans
+    The customers of one bank must hold the same loan deposits, which the
+    book stores once per bank (0 for a bank without customers).  Every bank
+    starts with a1 = l1 and a2 = l2 (cash fully reserved, loans
     self-originated), so all accounting identities hold exactly.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
+    l2 = np.asarray(l2, dtype=float)
+    bank_l2 = np.zeros(n_banks)
+    bank_l2[assignment] = l2
+    assert np.array_equal(bank_l2[assignment], l2), "a bank's customers hold different l2"
     book = CustomerBook(
         assignment=assignment,
+        counts=np.bincount(assignment, minlength=n_banks),
         l1=np.asarray(l1, dtype=float),
-        l2=np.asarray(l2, dtype=float),
-        n_banks=n_banks,
+        l2=bank_l2,
     )
     banks = BankBalanceSheets.zeros(n_banks)
     banks.l1 = book.bank_l1()

@@ -131,9 +131,9 @@ class TestRealisedLending:
     def test_new_deposits_split_equally(self):
         banks, book = consistent_state([5.0, 5.0, 5.0], [0.0] * 3, [0, 0, 1], 2)
         realise_lending(banks, book, np.array([90.0, 0.0]), _policy(theta=1.0), _rng())
-        assert book.l2[0] == pytest.approx(45.0)
-        assert book.l2[1] == pytest.approx(45.0)
-        assert book.l2[2] == 0.0
+        # one balance per bank, held by each of its customers
+        assert book.l2.tolist() == pytest.approx([45.0, 0.0])
+        assert book.bank_l2().tolist() == pytest.approx([90.0, 0.0])
 
 
 def test_geometric_approach_to_multiplier_cap():

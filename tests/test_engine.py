@@ -79,6 +79,17 @@ class TestRunScenario:
         for name in AGGREGATE_COLUMNS:
             assert trace.aggregates[name].shape == (7,)
 
+    def test_book_stores_loan_deposits_per_bank(self):
+        config = get_preset("baseline_perfect", seed=3, B=4, C=80, T=5)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        for _ in range(config.T):
+            run_period(state, config, streams, check="phase")
+        assert state.book.l1.shape == (80,)
+        assert state.book.l2.shape == state.book.counts.shape == (4,)
+        assert state.book.l2.min() > 0.0
+        assert state.book.bank_l2() == pytest.approx(state.banks.l2, rel=1e-12)
+
     def test_currency_conserved_every_period(self):
         config = _small(seed=9)
         trace = run_scenario(config)

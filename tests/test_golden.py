@@ -261,6 +261,19 @@ def test_no_phase_checks_config():
     assert not found
 
 
+def test_only_the_ledger_reads_the_customer_map():
+    """The book stores loan deposits per bank, so no module but ledger.py
+    scatters a per-bank number out to customers through ``.assignment``."""
+    found = []
+    for path in sorted(Path(minibank.__file__).parent.glob("*.py")):
+        if path.name == "ledger.py":
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Attribute) and node.attr == "assignment"]
+    assert not found
+
+
 # SHA-256 of config_to_text, the text that config_hash digests and the
 # manifest lists: a key dropped, renamed, reordered or formatted otherwise
 # changes one of these.  The presets write alpha and lambda as none; the

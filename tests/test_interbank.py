@@ -71,6 +71,15 @@ class TestLedger:
             loans.add(-1, 2, 1, LoanKind.WIRE, 1.0, W_A1)
         assert len(loans) == 0
 
+    @pytest.mark.parametrize("amount", [0.0, -1.0, float("nan")])
+    def test_non_positive_amount_rejected(self, amount):
+        # nan <= 0 is false, so only `not amount > 0` refuses a NaN
+        loans = InterbankLoanLedger(3)
+        with pytest.raises(LedgerError, match="non-positive amount"):
+            loans.add(0, 1, 1, LoanKind.WIRE, amount, W_A1)
+        assert len(loans) == 0
+        assert loans.total() == 0.0
+
     def test_conflicting_weight_snapshot_rejected(self):
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.WIRE, 10.0, W_A1)

@@ -39,7 +39,7 @@ class TestInitialise:
         # at C = B the drawn map already gives every bank one customer
         config = ScenarioConfig(seed=1, B=4, C=4, A1_0=1e9)
         banks, book = initialise(config, RngStreams(1).stream("assignment", 0))
-        assert np.all(book.counts() == 1)
+        assert np.all(book.counts == 1)
         assert np.all(banks.a1 == 1e9 / 4)
         assert np.all(banks.l1 == banks.a1)
 
@@ -61,7 +61,7 @@ class TestInitialise:
         for seed in range(5):
             _, book = _init(seed=seed, B=20, C=40)
             raw = RngStreams(seed).stream("assignment", 0).integers(0, 20, size=40)
-            assert book.counts().min() >= 1
+            assert book.counts.min() >= 1
             assert np.count_nonzero(book.assignment != raw) == np.count_nonzero(
                 np.bincount(raw, minlength=20) == 0)
 
@@ -114,8 +114,8 @@ class TestIdentities:
     def test_hand_built_violation(self):
         banks = BankBalanceSheets.zeros(1)
         banks.a1[0], banks.l1[0] = 1.0, 2.0
-        book = CustomerBook(assignment=np.array([0]), l1=np.array([2.0]),
-                            l2=np.array([0.0]), n_banks=1)
+        book = CustomerBook(assignment=np.array([0]), counts=np.array([1]),
+                            l1=np.array([2.0]), l2=np.array([0.0]))
         # a core residual of 1 over a gross position of 3
         with pytest.raises(IdentityError, match=r"^core residual 3\.333e-01 at bank 0$"):
             check_identities(banks, book)
