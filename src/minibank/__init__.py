@@ -57,7 +57,6 @@ from .config import (
     config_hash,
     config_to_text,
     get_preset,
-    load_config_file,
     preset_names,
 )
 from .engine import (

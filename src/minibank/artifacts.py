@@ -71,6 +71,8 @@ def emit_trace_artifacts(trace: SimulationTrace, out_dir, figure: int | None = N
     subset backing that chart.  Returns the written paths keyed by artifact
     name.
     """
+    if figure is not None and figure not in FIGURE_COLUMNS:
+        raise ConfigError(f"figure: expected one of {sorted(FIGURE_COLUMNS)}, got {figure}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     T, B = trace.n_periods, trace.n_banks
@@ -89,8 +91,6 @@ def emit_trace_artifacts(trace: SimulationTrace, out_dir, figure: int | None = N
         "manifest": _write_manifest(out / "manifest.txt", trace.config, wall_time),
     }
     if figure is not None:
-        if figure not in FIGURE_COLUMNS:
-            raise ConfigError(f"figure: expected one of {sorted(FIGURE_COLUMNS)}, got {figure}")
         columns = FIGURE_COLUMNS[figure]
         paths["figure"] = _write_csv(out / f"figure{figure}.csv", ("period",) + columns,
                                      _period_columns(trace.aggregates, columns, T))
@@ -134,7 +134,7 @@ def format_compare_table(compare: CompareResult) -> str:
     lines.append(header)
     for phi, *means in zip(compare.phis, *(compare.means(name) for name in METRIC_KEYS)):
         cells = "".join(f"{value:>28.6g}" for value in means)
-        lines.append(f"{phi:>6.2f}{cells}")
+        lines.append(f"{phi!r:>6}{cells}")
     for metric, direction in (("cumulative_customer_lending", True),
                               ("cumulative_interbank_issued", True),
                               ("terminal_equity", True),

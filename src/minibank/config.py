@@ -13,7 +13,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import get_type_hints
 
 from .bank_credit import LendingBehaviour
@@ -336,7 +335,3 @@ def config_from_pairs(pairs) -> ScenarioConfig:
     if "seed" not in fields:
         raise ConfigError("seed: missing (a seed is mandatory; runs never seed from the clock)")
     return ScenarioConfig(**fields).validate()
-
-
-def load_config_file(path) -> ScenarioConfig:
-    return config_from_pairs(parse_config_text(Path(path).read_text()))

@@ -10,7 +10,9 @@ class ConfigError(SimulationError):
 
 
 class ConsistencyError(SimulationError):
-    """Customer book and bank balance sheets have drifted apart."""
+    """A settlement left a balance the model forbids: a negative customer
+    cash deposit, negative loan deposits before or after wire netting, or a
+    guarantee that does not close the reserve gap."""
 
 
 class LedgerError(SimulationError):

@@ -60,10 +60,6 @@ class KeyLayout:
     def pack(self, period: int, lender: int, borrower: int, kind: int) -> int:
         return period << self.period_shift | lender << self.lender_shift | borrower << 2 | kind
 
-    def unpack(self, key: int) -> tuple[int, int, int, LoanKind]:
-        return (key >> self.period_shift, key >> self.lender_shift & self.bank_mask,
-                key >> 2 & self.bank_mask, LoanKind(key & 3))
-
     def fields(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (lender, borrower, issue period, kind) arrays of int64 keys."""
         mask = self.bank_mask

@@ -75,9 +75,6 @@ class BankBalanceSheets:
         """(B, 10) copy of all items in ITEM_NAMES order."""
         return np.column_stack([getattr(self, name) for name in ITEM_NAMES])
 
-    def copy(self) -> "BankBalanceSheets":
-        return BankBalanceSheets(*(getattr(self, name).copy() for name in ITEM_NAMES))
-
 
 @dataclass
 class CustomerBook:
@@ -159,7 +156,6 @@ def reserve_weights(banks: BankBalanceSheets,
     totals = comps.sum(axis=1, keepdims=True)
     weights = np.divide(comps, totals, out=np.zeros_like(comps), where=totals > 0)
     empty = (totals <= 0).ravel()
-    weights[empty, :] = 0.0
     weights[empty, 0] = 1.0
     return list(map(tuple, weights.tolist()))
 

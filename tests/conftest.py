@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from minibank import BankBalanceSheets, CustomerBook
+from minibank import BankBalanceSheets, CustomerBook, LoanKind
+
+
+def unpack(layout, key):
+    """The (issue period, lender, borrower, kind) of a packed ledger key.
+
+    The tests' own decoder: it shifts one Python int field by field and
+    shares no code with ``KeyLayout.fields``, which the package decodes
+    int64 key arrays with.
+    """
+    return (key >> layout.period_shift, key >> layout.lender_shift & layout.bank_mask,
+            key >> 2 & layout.bank_mask, LoanKind(key & 3))
 
 
 def consistent_state(l1, l2, assignment, n_banks):

@@ -15,7 +15,6 @@ from minibank import (
     config_to_text,
     emit_trace_artifacts,
     get_preset,
-    load_config_file,
     preset_names,
     run_scenario,
 )
@@ -23,6 +22,7 @@ from minibank.artifacts import AGGREGATE_HEADER, FIGURE_COLUMNS, PER_BANK_HEADER
 from minibank.cli import main
 from minibank.config import parse_config_text
 from minibank.interbank import KeyLayout
+from conftest import unpack
 
 
 class TestPresets:
@@ -158,7 +158,7 @@ class TestKeyValueFormat:
         for B, T in ((100, last), (2**30, 1)):
             layout = KeyLayout(B)
             key = layout.pack(T, B - 1, B - 2, LoanKind.ROLLOVER)
-            assert layout.unpack(key) == (T, B - 1, B - 2, LoanKind.ROLLOVER)
+            assert unpack(layout, key) == (T, B - 1, B - 2, LoanKind.ROLLOVER)
             fields = layout.fields(np.fromiter([key], dtype=np.int64, count=1))
             assert [f.item() for f in fields] == [B - 1, B - 2, T, LoanKind.ROLLOVER]
             with pytest.raises(OverflowError):
@@ -211,7 +211,7 @@ class TestArtifacts:
     def test_manifest_parses_back_to_the_config(self, tmp_path):
         trace = self._trace()
         paths = emit_trace_artifacts(trace, tmp_path)
-        assert load_config_file(paths["manifest"]) == trace.config
+        assert config_from_pairs(parse_config_text(paths["manifest"].read_text())) == trace.config
 
     def test_figure_subset(self, tmp_path):
         paths = emit_trace_artifacts(self._trace(), tmp_path, figure=7)
@@ -219,8 +219,10 @@ class TestArtifacts:
         assert header == ",".join(("period",) + FIGURE_COLUMNS[7])
 
     def test_unknown_figure_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_trace_artifacts(self._trace(), tmp_path, figure=11)
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="^figure: "):
+            emit_trace_artifacts(self._trace(), out, figure=9)
+        assert not out.exists()  # refused before any file is written
 
 
 class TestCli:
@@ -260,6 +262,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "compare_summary.csv").exists()
         assert "phi sweep" in capsys.readouterr().out
+
+    def test_compare_table_tells_close_phis_apart(self, capsys):
+        code = main(["compare", "--preset", "baseline_perfect", "--seed", "5",
+                     "--seeds", "2", "--phis", "0.001,0.004",
+                     "--set", "T=4", "--set", "C=80", "--set", "B=4"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["0.001", "0.004"]
 
     def test_validate(self, capsys):
         code = main(["validate", "--preset", "baseline_perfect", "--seed", "5",

@@ -9,6 +9,7 @@ tuples, which the references turn back into arrays, and keys positions by
 packed ints, which the references unpack one field at a time.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -29,13 +30,14 @@ from minibank import (
 from minibank.interbank import InterbankRepaymentStats, PoolingStats
 from minibank.ledger import reserve_weights
 from minibank.stochastics import keyed_threshold_draw
+from conftest import unpack
 
 PERIOD = 4
 
 
 def _reference_repay(banks, loans, omega, base, period, decision_seed):
-    keys = [k for k in loans.sorted_keys() if loans.layout.unpack(k)[0] < period]
-    fields = (np.array([loans.layout.unpack(k)[i] for k in keys], dtype=np.int64)
+    keys = [k for k in loans.sorted_keys() if unpack(loans.layout, k)[0] < period]
+    fields = (np.array([unpack(loans.layout, k)[i] for k in keys], dtype=np.int64)
               for i in (1, 2, 0, 3))
     draws = keyed_threshold_draw(decision_seed, period, *fields)
     due = [(keys[i], loans.amount(keys[i])) for i in np.flatnonzero(draws > omega)]
@@ -50,7 +52,7 @@ def _reference_repay(banks, loans, omega, base, period, decision_seed):
         amount = min(frozen, loans.amount(key))
         if amount <= 0:
             continue
-        _, lender, borrower, _ = loans.layout.unpack(key)
+        _, lender, borrower, _ = unpack(loans.layout, key)
         legs = amount * np.array(loans.weights_for(key))
         a1_leg = min(legs[0], max(banks.a1[borrower], 0.0))
         a2_leg = min(legs[1], max(banks.a2[borrower], 0.0))
@@ -206,7 +208,7 @@ def _copies(banks, positions, snapshots):
         loans = InterbankLoanLedger(banks.n_banks)
         for period, lender, borrower, kind, amount in positions:
             loans.add(lender, borrower, period, kind, amount, snapshots[period, borrower, kind])
-        out.append((banks.copy(), loans))
+        out.append((copy.deepcopy(banks), loans))
     return out
 
 

@@ -235,6 +235,33 @@ def test_no_unused_imports():
     assert not found
 
 
+def test_every_definition_is_used():
+    """Every function, class and method the package defines (dunders aside)
+    is named in the package or the bench besides its own definition: API
+    that only tests call lives in the tests.  Names, attributes and import
+    aliases count as uses; ``__init__``'s re-exports do not.
+
+    The check matches names only, so it cannot see a test-only definition
+    whose name something else shares: it passes a ``BankBalanceSheets.copy``
+    because ``ndarray.copy`` is named ``copy`` too.
+    """
+    package = Path(minibank.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.parent == package:
+                if not node.name.startswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias) and path != package / "__init__.py":
+                used.add(node.asname or node.name)
+    assert not [f"{where} {name}" for where, name in defined if name not in used]
+
+
 # The modules of the state and its phases: they trust a validated config and
 # the state `initialise` built, so none of them raises (or names) ConfigError.
 _PHASE_MODULES = ("stochastics", "ledger", "interbank", "payments", "bank_credit",

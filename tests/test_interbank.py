@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -25,16 +26,17 @@ from minibank import (
     sum_reserve,
 )
 from minibank.interbank import KeyLayout
+from conftest import unpack
 
 W_A1 = (1.0, 0.0, 0.0)
 
 
 def _issuances(loans):
     """Snapshotted issuances and open ones, each as (period, borrower, kind)."""
-    unpack = loans.layout.unpack
-    live = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans.sorted_keys())}
-    snapshots = {(period, borrower, kind) for period, _, borrower, kind in map(unpack, loans._weights)}
-    return snapshots, live
+    def issuance(key):
+        period, _, borrower, kind = unpack(loans.layout, key)
+        return period, borrower, kind
+    return set(map(issuance, loans._weights)), set(map(issuance, loans.sorted_keys()))
 
 
 def _key(loans, period, lender, borrower, kind):
@@ -42,7 +44,7 @@ def _key(loans, period, lender, borrower, kind):
 
 
 def _tuples(loans, keys):
-    return [loans.layout.unpack(k) for k in keys]
+    return [unpack(loans.layout, k) for k in keys]
 
 
 def _match_rng(seed=1, period=1):
@@ -210,7 +212,7 @@ def _reference_reassign(loans, from_bank, to_bank, requested, include_self=True)
         part = min(take - moved, loans.amount(key))
         if part <= 0:
             break
-        period, _, borrower, kind = loans.layout.unpack(key)
+        period, _, borrower, kind = unpack(loans.layout, key)
         weights = loans.weights_for(key)
         loans.reduce(key, part)
         if borrower == to_bank:
@@ -273,7 +275,7 @@ def test_reassign_matches_sort_and_sum_reference(include_self, data):
         assert _issuances(ledger) == _issuances(reference)
         for bank in range(n_banks):
             assert ledger._by_lender[bank] == [k for k in ledger.sorted_keys()
-                                               if ledger.layout.unpack(k)[1] == bank]
+                                               if unpack(ledger.layout, k)[1] == bank]
 
 
 @pytest.mark.parametrize("n_banks", [2, 3, 4, 5, 64, 65, 100])
@@ -287,7 +289,7 @@ def test_packed_keys_sort_as_tuples_and_round_trip(n_banks, data):
     tuples = data.draw(st.lists(st.tuples(period, bank, bank, st.sampled_from(list(LoanKind))),
                                 min_size=1, max_size=30))
     keys = [layout.pack(*t) for t in tuples]
-    assert [layout.unpack(k) for k in keys] == tuples
+    assert [unpack(layout, k) for k in keys] == tuples
     assert sorted(keys) == [layout.pack(*t) for t in sorted(tuples)]
     for (period, _, borrower, kind), key in zip(tuples, keys):
         assert key & layout.issue_mask == layout.pack(period, 0, borrower, kind)
@@ -577,7 +579,7 @@ class TestClaimCountingAllocation:
     def test_pair_that_fails_to_trade_leaves_its_gap_share(self):
         banks = _two_lender_gap_sheet()
         state = _broad_state(banks)
-        complete = allocate_pooled_credit(banks.copy(), InterbankLoanLedger(4), state, 1)[0]
+        complete = allocate_pooled_credit(copy.deepcopy(banks), InterbankLoanLedger(4), state, 1)[0]
         assert complete == pytest.approx(np.zeros(4), abs=1e-9)
 
         actual = state.actual.copy()
