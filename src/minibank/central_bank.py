@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import IdentityError
 from .ledger import TOL, BankBalanceSheets, bank_scale
 
 
@@ -27,15 +27,14 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
     to exactly the target.  Returns per-bank granted amounts.
     """
     scale = bank_scale(banks.snapshot())
-    raw = np.maximum(unmet, 0.0)
-    grant = np.where(raw > TOL * scale, raw, 0.0)
+    grant = np.where(unmet > TOL * scale, unmet, 0.0)
     wanted = np.maximum(expected, 0.0)
-    gap = np.abs(raw - wanted)
+    gap = np.abs(unmet - wanted)
     if np.any(gap > TOL * scale):
         bank = int(np.argmax(gap / scale))
-        raise ConsistencyError(
+        raise IdentityError(
             f"guarantee does not close the reserve gap at bank {bank}: "
-            f"granting {raw[bank]:.6g}, target shortfall {wanted[bank]:.6g}"
+            f"granting {unmet[bank]:.6g}, target shortfall {wanted[bank]:.6g}"
         )
     banks.a5 = banks.a5 + grant
     banks.l5 = banks.l5 + grant

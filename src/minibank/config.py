@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import get_type_hints
@@ -88,10 +89,12 @@ class ScenarioConfig:
                      "(a ledger key must fit in 64 bits)")
         if self.C < self.B:
             bad("C", "need at least as many customers as banks")
-        if not self.A1_0 > 0:
-            bad("A1_0", "total base money must be positive")
+        if not self.A1_0 / self.C >= sys.float_info.min:
+            bad("A1_0", "each customer's endowment A1_0 / C must be a normal float (>= 2.2e-308)")
         if not self.A4_0 > 0:
             bad("A4_0", "total bank capital must be positive")
+        if self.A4_0 > 1e300 * self.A1_0:
+            bad("A1_0", "must be at least A4_0 / 1e300 (the equity ratio divides by it)")
         if not 0 < self.gamma_RR <= 1:
             bad("gamma_RR", "must lie in (0, 1] (lending targets divide by it)")
         if self.gamma_TR_noise.lower < 0:

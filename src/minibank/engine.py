@@ -77,8 +77,8 @@ def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
-    """Per-bank identities, currency conservation and ledger consistency;
-    a failure's message starts with ``where``."""
+    """Per-bank identities and sign rules, currency conservation and ledger
+    consistency; a failure's message starts with ``where``."""
     try:
         check_identities(state.banks, state.book)
         drift = abs(float(state.banks.a1.sum()) - config.A1_0)

@@ -9,15 +9,11 @@ class ConfigError(SimulationError):
     """A scenario configuration is invalid; the message names the offending key."""
 
 
-class ConsistencyError(SimulationError):
-    """A settlement left a balance the model forbids: a negative customer
-    cash deposit, negative loan deposits before or after wire netting, or a
-    guarantee that does not close the reserve gap."""
-
-
 class LedgerError(SimulationError):
     """The interbank loan ledger no longer matches the balance sheets."""
 
 
 class IdentityError(SimulationError):
-    """A balance-sheet accounting identity broke beyond tolerance."""
+    """An accounting rule broke: a balance-sheet identity or customer-book
+    sum, currency conservation, non-negative customer cash and bank loan
+    deposits, the wire-netting tolerance or the guarantee cross-check."""

@@ -188,12 +188,20 @@ def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
 
 def check_identities(banks: BankBalanceSheets, book: CustomerBook) -> float:
     """Check the three balance-sheet identities and the two customer-book
-    sum constraints; returns the worst relative residual and raises
-    IdentityError past ``TOL``."""
-    return worst_residual({
+    sum constraints to ``TOL``, then that no customer's cash and no bank's
+    loan deposits are negative, with no tolerance; returns the worst
+    relative residual and raises IdentityError on a broken rule."""
+    worst = worst_residual({
         "core": np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
         "equity": np.abs(banks.a4 - banks.l4),
         "guarantee": np.abs(banks.a5 - banks.l5),
         "book_l1": np.abs(book.bank_l1() - banks.l1),
         "book_l2": np.abs(book.bank_l2() - banks.l2),
     }, banks, IdentityError)
+    customer, bank = int(np.argmin(book.l1)), int(np.argmin(banks.l2))
+    if book.l1[customer] < 0:
+        raise IdentityError(f"customer {customer} at bank {book.assignment[customer]} "
+                            f"holds negative cash {book.l1[customer]:.6g}")
+    if banks.l2[bank] < 0:
+        raise IdentityError(f"negative loan deposits {banks.l2[bank]:.6g} at bank {bank}")
+    return worst

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import IdentityError
 from .interbank import InterbankLoanLedger, LoanKind
 from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
 from .stochastics import row_loops
@@ -63,8 +63,6 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
         inflow += block_sum
         lo = hi
     book.l1 = book.l1 - outflow + inflow
-    if book.l1.min() < 0:
-        raise ConsistencyError("a customer cash deposit went negative")
     new_bank_l1 = book.bank_l1()
     banks.a1 += new_bank_l1 - banks.l1  # banks.l1 is book.bank_l1() from before
     banks.l1 = new_bank_l1
@@ -92,8 +90,6 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     B = banks.n_banks
     if xi2 == 0.0:
         return WireTransferStats(0.0, 0.0, 0)
-    if banks.l2.min() < 0:
-        raise ConsistencyError("loan deposits negative before wire transfers")
     gross = xi2 * banks.l2
 
     # the blocks may share one buffer, so each is copied before the next is drawn
@@ -103,7 +99,7 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     old_l2 = banks.l2
     new_l2 = old_l2 + net
     if new_l2.min() < -TOL * max(1.0, float(old_l2.max())):
-        raise ConsistencyError("wire netting drove a bank's loan deposits negative")
+        raise IdentityError("wire netting drove a bank's loan deposits negative")
     np.clip(new_l2, 0.0, None, out=new_l2)
 
     # Customer bookkeeping before the bank items, so the book stays the

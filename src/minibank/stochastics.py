@@ -70,15 +70,13 @@ def keyed_threshold_draw(subseed: int, *fields):
     A draw depends only on (subseed, fields), never on how many other
     draws were made, so an object keeps its own randomness no matter what
     else a scenario changes around it.  Runs that share a seed then stay
-    comparable object by object across scenario variants.  Fields may be
-    integer arrays, which broadcast into one draw per key; all-scalar
-    fields give one Python float.
+    comparable object by object across scenario variants.  Fields are
+    integer arrays or scalars, broadcast into an array of one draw per key.
     """
     state = _mix64(np.full(1, subseed, dtype=np.uint64))
     for field in fields:
         state = _mix64(state ^ np.asarray(field).astype(np.uint64))
-    draws = 1.0 - state / 2.0**64
-    return draws if any(np.ndim(f) for f in fields) else float(draws[0])
+    return 1.0 - state / 2.0**64
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import pytest
 
 from minibank import (
     BankBalanceSheets,
-    ConsistencyError,
+    IdentityError,
     grant_guarantees,
     remove_guarantees,
 )
@@ -44,7 +44,7 @@ def test_guarantee_is_non_cash():
 
 def test_mismatched_target_shortfall_rejected():
     banks = _banks()
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(IdentityError):
         grant_guarantees(banks, np.array([30.0, 0.0, 0.0]),
                          expected=np.array([55.0, 0.0, 0.0]))
 

@@ -117,6 +117,10 @@ class TestKeyValueFormat:
         ("T", "-3"),
         ("T", "0"),                  # a run models at least one period
         ("A1_0", "0"),
+        ("A1_0", "5e-324"),          # A1_0 / C below the smallest normal float
+        ("A1_0", "4.45e-308"),
+        ("A1_0", "1e-310"),
+        ("A1_0", "1e-300"),          # A4_0 / A1_0 = 1e8 / 1e-300 above 1e300
         ("A4_0", "-1"),
         ("matching", "endogenous"),  # without alpha
         ("lambda", "0"),             # under endogenous matching with alpha = 1

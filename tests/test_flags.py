@@ -1,6 +1,7 @@
 """End-to-end runs for the optional scenario switches."""
 
 import hashlib
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -105,6 +106,22 @@ def test_endogenous_matching_full_run_with_phase_checks():
     config = _config(matching=MatchingMode.ENDOGENOUS, alpha=1.0, lam=1.5, phi=0.2)
     trace = run_scenario(config, check="phase")
     assert trace.n_periods == config.T
+
+
+@pytest.mark.parametrize("preset", preset_names())
+@pytest.mark.parametrize("matching", MatchingMode)
+def test_base_money_edges_run_clean(preset, matching):
+    # A1_0 / C at the smallest normal float and A4_0 / A1_0 at 1e300, the
+    # two edges validate() accepts, together and one at a time
+    endogenous = dict(alpha=1.0, lam=1.0) if matching is MatchingMode.ENDOGENOUS else {}
+    for C, A1_0, ratio in ((3, 3 * sys.float_info.min, 1e300), (40, 40 * sys.float_info.min, 1.0),
+                           (40, 1.0, 1e300)):
+        config = get_preset(preset, seed=C, B=3, C=C, T=8, A1_0=A1_0, A4_0=ratio * A1_0,
+                            matching=matching, **endogenous)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_scenario(config, check="phase")
+        assert np.all(np.isfinite(trace.sheets))
 
 
 UNIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))

@@ -130,11 +130,13 @@ def _reference_draw(subseed, *fields):
 
 class TestKeyedDraws:
     def test_deterministic(self):
-        assert keyed_threshold_draw(123, 4, 5, 6) == keyed_threshold_draw(123, 4, 5, 6)
+        draw = keyed_threshold_draw(123, 4, 5, 6)
+        assert draw.shape == (1,)
+        assert np.array_equal(draw, keyed_threshold_draw(123, 4, 5, 6))
 
     def test_distinct_keys_differ(self):
-        draws = {keyed_threshold_draw(123, t, 1, 2) for t in range(100)}
-        assert len(draws) == 100
+        draws = keyed_threshold_draw(123, np.arange(100), 1, 2)
+        assert np.unique(draws).size == 100
 
     def test_support_and_mean(self):
         draws = keyed_threshold_draw(9, np.arange(100_000))
@@ -150,8 +152,8 @@ class TestKeyedDraws:
         first, second = (np.array(column, dtype=np.uint64) for column in zip(*keys))
         draws = keyed_threshold_draw(subseed, 7, first, second)
         assert draws.tolist() == [_reference_draw(subseed, 7, a, b) for a, b in keys]
-        scalar = keyed_threshold_draw(subseed, 7, *keys[0])
-        assert type(scalar) is float and scalar == draws[0]
+        scalars = keyed_threshold_draw(subseed, 7, *keys[0])
+        assert scalars.tolist() == draws[:1].tolist()
 
     def test_full_range_batch_matches_reference(self):
         fields = np.random.default_rng(5).integers(0, MASK64, size=(3, 20_000),
