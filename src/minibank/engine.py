@@ -36,7 +36,7 @@ from .ledger import (
     initialise,
     sum_reserve,
 )
-from .payments import settle_cash_payments, settle_wire_transfers
+from .payments import CashPath, settle_cash_payments, settle_wire_transfers
 from .stochastics import RngStreams, draw_period_rates, random_row_stochastic
 
 STAT_COLUMNS = (
@@ -91,13 +91,15 @@ def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> 
 
 
 def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStreams,
-               check: str = "period") -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+               check: str = "period", path: CashPath | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """Advance the state by one period; return its (B, 10) sheets, (B,)
     profit and stats.
 
     ``check``, one of CHECK_CADENCES, controls how often the identity,
     currency and ledger checks run: after every phase, or else once at the
-    end of the period.
+    end of the period.  A ``path`` goes to the cash phase, which replays
+    the period from it when it holds the period and records it otherwise.
     """
     t = state.period + 1
     banks, book, loans = state.banks, state.book, state.loans
@@ -117,7 +119,7 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
     key = 0 if config.fixed_payment_matrix else t
     cash_gross = step(settle_cash_payments, banks, book,
                       random_row_stochastic(config.C, streams.stream("cash_matrix", key)),
-                      config.xi1)
+                      config.xi1, path, t)
     wire_stats = step(settle_wire_transfers, banks, book,
                       random_row_stochastic(config.B, streams.stream("wire_matrix", key)),
                       config.xi2, loans, config.reserve_base, t)
@@ -193,11 +195,24 @@ class SimulationTrace:
         return self.sheets[:, :, ITEM_NAMES.index(name)]
 
 
-def run_scenario(config: ScenarioConfig, check: str = "period") -> SimulationTrace:
-    """Run one seeded scenario end to end and return its trace."""
+def run_scenario(config: ScenarioConfig, check: str = "period",
+                 path: CashPath | None = None) -> SimulationTrace:
+    """Run one seeded scenario end to end and return its trace.
+
+    A ``path`` shares the cash phases with other runs of the seed (see
+    ``settle_cash_payments``): the first run records them, later ones
+    replay them.  A path drawn under another seed, ``fixed_payment_matrix``
+    or ``xi1`` is refused with IdentityError.
+    """
     config.validate()
     if check not in CHECK_CADENCES:
         raise ConfigError(f"check: expected {'/'.join(CHECK_CADENCES)}, got {check!r}")
+    if path is not None:
+        source = (config.seed, config.fixed_payment_matrix, config.xi1)
+        if path.source not in (None, source):
+            raise IdentityError(f"cash path drawn under (seed, fixed_payment_matrix, xi1) = "
+                                f"{path.source}, not this run's {source}")
+        path.source = source
     streams = RngStreams(config.seed)
     state = init_state(config, streams)
     _check_state(state, config, "initial state")
@@ -206,7 +221,8 @@ def run_scenario(config: ScenarioConfig, check: str = "period") -> SimulationTra
     profit = np.empty((config.T, config.B))
     stats = {name: np.empty(config.T) for name in STAT_COLUMNS}
     for t in range(config.T):
-        sheets[t], profit[t], period_stats = run_period(state, config, streams, check=check)
+        sheets[t], profit[t], period_stats = run_period(state, config, streams, check=check,
+                                                        path=path)
         for name in STAT_COLUMNS:
             stats[name][t] = period_stats[name]
     aggregates = {name: sheets[:, :, i].sum(axis=1) for i, name in enumerate(ITEM_NAMES)}
@@ -273,19 +289,21 @@ class EnsembleResult:
         return len(self.seeds)
 
 
-def run_ensemble(config: ScenarioConfig, seeds: list[int], check: str = "period") -> EnsembleResult:
+def run_ensemble(config: ScenarioConfig, seeds: list[int], check: str = "period",
+                 paths: list[CashPath] | None = None) -> EnsembleResult:
     """Run copies of one scenario, one per seed.
 
     Seeds from ``derive_seeds(config.seed, n)`` make an ensemble as
     reproducible as a single run; one seed list shared across scenario
-    variants shares their shocks.
+    variants shares their shocks.  ``paths``, one per seed, share each
+    seed's cash phases with the variants' runs (``run_scenario``).
     """
     if not seeds:
         raise ConfigError("seeds: expected at least one")
     series: dict[str, list[np.ndarray]] = {name: [] for name in AGGREGATE_COLUMNS}
     metrics: dict[str, list[float]] = {name: [] for name in METRIC_KEYS}
-    for seed in seeds:
-        trace = run_scenario(dataclasses.replace(config, seed=seed), check=check)
+    for seed, path in zip(seeds, paths or [None] * len(seeds), strict=True):
+        trace = run_scenario(dataclasses.replace(config, seed=seed), check=check, path=path)
         for name in AGGREGATE_COLUMNS:
             series[name].append(trace.aggregates[name])
         for name, value in trace_metrics(trace).items():
@@ -333,13 +351,24 @@ def compare_phis(config: ScenarioConfig, phis=(0.0, 0.4, 0.8), n_seeds: int = 30
     Every run shares the master-seed-derived seed list, so payment and
     lending shocks are identical across phi values and differences isolate
     the pooling quality.
+
+    Each seed's cash phases are drawn once: the first phi's run records
+    them in the seed's ``CashPath`` and every later phi replays them bit
+    for bit, reading no cash block.  Phi does not reach the cash phase,
+    which reads only customer cash, xi1 and the seed's cash_matrix stream.
+    The guard: a replayed phase first checks that the run's cash is
+    byte-equal to the path's, and a path drawn under another seed, xi1 or
+    ``fixed_payment_matrix`` is refused.  The paths, (T + 1) * C floats per
+    seed, live until the sweep ends.
     """
     phis = tuple(float(phi) for phi in phis)
     if len(set(phis)) < max(len(phis), 2):
         raise ConfigError(f"phis: expected distinct values, two or more, got {list(phis)}")
     seeds = derive_seeds(config.seed, n_seeds)
+    paths = [CashPath() for _ in seeds]
     results = {
-        phi: run_ensemble(dataclasses.replace(config, phi=phi), seeds=seeds, check=check)
+        phi: run_ensemble(dataclasses.replace(config, phi=phi), seeds=seeds, check=check,
+                          paths=paths)
         for phi in phis
     }
     return CompareResult(phis, seeds, results)

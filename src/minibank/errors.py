@@ -16,4 +16,5 @@ class LedgerError(SimulationError):
 class IdentityError(SimulationError):
     """An accounting rule broke: a balance-sheet identity or customer-book
     sum, currency conservation, non-negative customer cash and bank loan
-    deposits, the wire-netting tolerance or the guarantee cross-check."""
+    deposits, the wire-netting tolerance, the guarantee cross-check, or a
+    replayed cash path that does not fit the run."""

@@ -277,7 +277,11 @@ def repay_interbank_loans(banks: BankBalanceSheets, loans: InterbankLoanLedger,
     leg; whatever the borrower's own claims cannot cover is refinanced on
     the spot as a fresh loan from the same lender.  No reserve component is
     ever driven negative and the ledger keeps matching the sheets exactly.
+    Draws lie in (0, 1], so at omega >= 1 none is due and the phase returns
+    without drawing.
     """
+    if omega >= 1.0:
+        return InterbankRepaymentStats(0.0, 0, 0.0, 0.0)
     layout = loans.layout
     keys = loans.sorted_keys()
     keys = keys[:bisect_left(keys, period << layout.period_shift)]  # issued before this period

@@ -9,7 +9,7 @@ period and the residual is converted into interbank credit.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,32 @@ class WireTransferStats:
     issued_count: int
 
 
+@dataclass
+class CashPath:
+    """One seed's customer cash through its cash phases, recorded by the
+    first run of the seed and replayed by every later one.
+
+    ``cash[0]`` is the opening cash and ``cash[t]`` the cash after period
+    t's phase, which paid ``gross[t - 1]``; every array is read-only.
+    ``source`` names the phase's inputs that the cash does not show: the
+    seed whose cash_matrix stream drew it, whether that matrix is fixed,
+    and xi1.  The engine sets it on the first run and refuses a run that
+    differs.
+    """
+
+    source: tuple | None = None
+    cash: list[np.ndarray] = field(default_factory=list)
+    gross: list[float] = field(default_factory=list)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
-                         blocks: Iterable[np.ndarray], xi1: float) -> float:
+                         blocks: Iterable[np.ndarray], xi1: float,
+                         path: CashPath | None = None, period: int = 1) -> float:
     """Let every customer pay out a fraction xi1 of its cash deposit along
     its row of the (C, C) cash matrix, given as row blocks top to bottom,
     and return the gross volume paid.
@@ -45,28 +69,53 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
     as each can for ``matrix.T @ outflow``.  Each block is scaled in place,
     so the blocks are consumed: pass fresh ones on every call.
+
+    With a ``path``, the phase of ``period`` replays the cash the path
+    holds for it and reads no block; a period the path does not hold yet
+    is drawn and recorded.  Replay is exact: only this phase writes
+    customer cash, and it reads only that cash, xi1 and the cash_matrix
+    stream, so every run of one seed, stream and xi1 computes the same
+    bits.  The guard: the run's cash before the phase must be byte-equal
+    to the path's (the opening cash in period 1, the path's own cash after
+    the previous period later), or the phase raises IdentityError.  The
+    recorded arrays are read-only, so a write to customer cash in place
+    fails instead of reaching later runs.
     """
     if xi1 == 0.0:
         return 0.0
-    outflow = xi1 * book.l1
-    block_sum = np.empty(outflow.size)
-    inflow = np.zeros(outflow.size)
-    lo = 0
-    for block in blocks:
-        hi = lo + len(block)
-        # per block, not around the loop: a generator's own row sums run in
-        # this context, and they must keep the default buffer
-        with row_loops():
-            block *= outflow[lo:hi, None]
-            # the sums run down columns, one row after another, whatever the buffer
-            np.add.reduce(block, axis=0, out=block_sum)
-        inflow += block_sum
-        lo = hi
-    book.l1 = book.l1 - outflow + inflow
+    if path is not None:
+        if not path.cash:
+            path.cash.append(_read_only(book.l1))
+        if book.l1.tobytes() != path.cash[period - 1].tobytes():
+            raise IdentityError(f"period {period}: customer cash before the cash phase "
+                                "differs from the cash path's")
+    if path is not None and period < len(path.cash):
+        book.l1 = path.cash[period]
+        gross = path.gross[period - 1]
+    else:
+        outflow = xi1 * book.l1
+        block_sum = np.empty(outflow.size)
+        inflow = np.zeros(outflow.size)
+        lo = 0
+        for block in blocks:
+            hi = lo + len(block)
+            # per block, not around the loop: a generator's own row sums run in
+            # this context, and they must keep the default buffer
+            with row_loops():
+                block *= outflow[lo:hi, None]
+                # the sums run down columns, one row after another, whatever the buffer
+                np.add.reduce(block, axis=0, out=block_sum)
+            inflow += block_sum
+            lo = hi
+        book.l1 = book.l1 - outflow + inflow
+        gross = float(outflow.sum())
+        if path is not None:
+            path.cash.append(_read_only(book.l1))
+            path.gross.append(gross)
     new_bank_l1 = book.bank_l1()
     banks.a1 += new_bank_l1 - banks.l1  # banks.l1 is book.bank_l1() from before
     banks.l1 = new_bank_l1
-    return float(outflow.sum())
+    return gross
 
 
 def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,

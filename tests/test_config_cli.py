@@ -327,6 +327,7 @@ class TestCli:
         ("T", ["T=0"]),
         # an empty preset name once ran the defaults with no preset
         ("preset", ["preset="]),
+        ("l5_spread", ["l5_spread=-0.01"]),
     ])
     def test_rejected_config_is_one_error_line(self, key, sets, tmp_path, capsys):
         args = ["run", "--seed", "3", "--out", str(tmp_path)]
@@ -338,6 +339,16 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,seeds", [("ensemble", "0"), ("ensemble", "-1"),
+                                               ("compare", "0")])
+    def test_no_seeds_is_one_error_line(self, command, seeds, tmp_path, capsys):
+        args = [command, "--preset", "baseline_perfect", "--seed", "5", "--seeds", seeds,
+                "--set", "T=2", "--set", "C=80", "--set", "B=4"]
+        if command == "ensemble":
+            args += ["--out", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: n_seeds: must be at least 1\n"
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         afile = tmp_path / "afile"

@@ -11,6 +11,7 @@ import pytest
 
 import minibank
 from minibank import (
+    CashPath,
     ConfigError,
     IdentityError,
     LedgerError,
@@ -238,6 +239,49 @@ class TestSharedShocks:
         assert np.array_equal(l1_perfect, l1_distressed)
 
 
+class TestCashPath:
+    """A sweep draws each seed's cash phases once and replays them."""
+
+    def test_compare_equals_ensembles_run_without_paths(self):
+        config = _small(seed=33, C=130, T=6)
+        phis = (0.0, 0.4, 0.8)
+        compare = compare_phis(config, phis=phis, n_seeds=3)
+        for phi in phis:
+            shared = compare.results[phi]
+            alone = run_ensemble(dataclasses.replace(config, phi=phi), compare.seeds)
+            for field in ("mean", "q10", "q50", "q90", "metrics"):
+                got, want = getattr(shared, field), getattr(alone, field)
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert got[name].tobytes() == want[name].tobytes(), (phi, field, name)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"seed": 2}, "cash path drawn under"),
+        ({"xi1": 0.3}, "cash path drawn under"),
+        ({"C": 131}, "^period 1: customer cash before the cash phase"),
+        ({"A1_0": 2e9}, "^period 1: customer cash before the cash phase"),
+    ])
+    def test_a_path_of_other_inputs_is_refused(self, change, message):
+        config = _small(seed=1, C=130, T=3)
+        path = CashPath()
+        run_scenario(config, path=path)
+        with pytest.raises(IdentityError, match=message):
+            run_scenario(dataclasses.replace(config, **change), path=path)
+
+    def test_recorded_cash_is_read_only(self):
+        config = _small(seed=1, T=2)
+        path = CashPath()
+        run_scenario(config, path=path)
+        assert len(path.cash) == config.T + 1
+        assert not any(cash.flags.writeable for cash in path.cash)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        run_period(state, config, streams, path=path)
+        assert state.book.l1 is path.cash[1]
+        with pytest.raises(ValueError, match="read-only"):
+            state.book.l1[0] += 1.0
+
+
 class TestEnsembles:
     def test_derive_seeds_deterministic(self):
         assert derive_seeds(7, 5) == derive_seeds(7, 5)
@@ -258,6 +302,10 @@ class TestEnsembles:
         result = compare_phis(_small(seed=16, T=5), phis=(0.0, 0.8), n_seeds=2)
         assert result.results[0.0].seeds == result.results[0.8].seeds
         assert result.n_seeds == 2
+
+    def test_ensemble_of_no_seeds_is_refused(self):
+        with pytest.raises(ConfigError, match="^seeds: expected at least one"):
+            run_ensemble(_small(seed=16, T=2), [])
 
     def test_compare_rejects_duplicate_phis(self):
         # a repeated phi would collapse into one result and make every

@@ -25,6 +25,7 @@ from minibank import (
     run_scenario,
     sum_reserve,
 )
+from minibank import interbank
 from minibank.interbank import KeyLayout
 from conftest import unpack
 
@@ -331,6 +332,20 @@ class TestInterbankRepayment:
         stats = repay_interbank_loans(banks, loans, 1.0, ReserveBase.NARROW, 5, 42)
         assert stats.repaid_count == 0
         assert loans.total() == pytest.approx(100.0)
+
+    def test_omega_one_draws_nothing(self, monkeypatch):
+        # draws lie in (0, 1] and settle only above omega, so omega = 1 needs none
+        def no_draw(*args):
+            raise AssertionError("keyed_threshold_draw called at omega = 1")
+
+        monkeypatch.setattr(interbank, "keyed_threshold_draw", no_draw)
+        banks, loans = _sheet_with_loan()
+        before, keys = banks.snapshot(), loans.sorted_keys()
+        stats = repay_interbank_loans(banks, loans, 1.0, ReserveBase.NARROW, 5, 42)
+        assert (stats.repaid_volume, stats.repaid_count, stats.rollover_volume,
+                stats.cancelled_volume) == (0.0, 0, 0.0, 0.0)
+        assert banks.snapshot().tobytes() == before.tobytes()
+        assert loans.sorted_keys() == keys and loans.total() == 100.0
 
     def test_omega_zero_repays_everything(self):
         banks, loans = _sheet_with_loan()

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minibank import (
+    CashPath,
+    IdentityError,
     InterbankLoanLedger,
     ReserveBase,
     RngStreams,
@@ -17,6 +19,11 @@ from conftest import consistent_state
 
 # two parties that pay each other everything
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _three_customers():
+    return consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3, assignment=[0, 1, 1],
+                            n_banks=2)
 
 
 class TestCashPayments:
@@ -34,6 +41,39 @@ class TestCashPayments:
 
         banks, book = two_banks_two_customers
         assert settle_cash_payments(banks, book, blocks(), 0.0) == 0.0
+
+    @staticmethod
+    def _drawn_path():
+        """A path recorded over two periods, and the state it left."""
+        path = CashPath()
+        banks, book = _three_customers()
+        for t in (1, 2):
+            blocks = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", t))
+            settle_cash_payments(banks, book, blocks, 0.5, path, t)
+        return path, banks, book
+
+    def test_replay_reads_no_block(self):
+        # a replayed phase takes its cash from the path, so a lazily drawn
+        # cash matrix is never drawn, and it moves the banks as the draw did
+        def blocks():
+            raise AssertionError("a cash block was read on replay")
+            yield
+
+        path, banks, book = self._drawn_path()
+        replay_banks, replay_book = _three_customers()
+        replayed = [settle_cash_payments(replay_banks, replay_book, blocks(), 0.5, path, t)
+                    for t in (1, 2)]
+        assert replayed == path.gross
+        assert replay_book.l1.tobytes() == book.l1.tobytes()
+        assert replay_banks.snapshot().tobytes() == banks.snapshot().tobytes()
+
+    def test_replay_refuses_cash_the_path_did_not_leave(self):
+        path, _, _ = self._drawn_path()
+        banks, book = _three_customers()
+        settle_cash_payments(banks, book, [], 0.5, path, 1)
+        book.l1 = book.l1[[0, 2, 1]]  # cash moved between bank 1's customers
+        with pytest.raises(IdentityError, match="^period 2: customer cash before"):
+            settle_cash_payments(banks, book, [], 0.5, path, 2)
 
     def test_two_customers_hand_case(self, two_banks_two_customers):
         # both customers pay everything to customer 1; customer 1's payment
