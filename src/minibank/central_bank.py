@@ -36,12 +36,10 @@ def grant_guarantees(banks: BankBalanceSheets, unmet: np.ndarray,
             f"guarantee does not close the reserve gap at bank {bank}: "
             f"granting {unmet[bank]:.6g}, target shortfall {wanted[bank]:.6g}"
         )
-    banks.a5 = banks.a5 + grant
-    banks.l5 = banks.l5 + grant
+    banks.guarantee = banks.guarantee + grant
     return grant
 
 
 def remove_guarantees(banks: BankBalanceSheets) -> None:
     """Zero out last period's guarantees; runs first thing every period."""
-    banks.a5 = np.zeros_like(banks.a5)
-    banks.l5 = np.zeros_like(banks.l5)
+    banks.guarantee = np.zeros_like(banks.guarantee)

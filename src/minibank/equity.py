@@ -27,6 +27,5 @@ def accrue_equity(banks: BankBalanceSheets, rates: RateSet) -> np.ndarray:
         - rates.r_l1 * banks.l1 - rates.r_l2 * banks.l2 - rates.r_interbank * banks.l3
         - rates.r_l5 * banks.l5
     )
-    banks.a4 = banks.a4 + profit
-    banks.l4 = banks.l4 + profit
+    banks.equity = banks.equity + profit
     return profit

@@ -164,12 +164,11 @@ class InterbankLoanLedger:
         its own debtor.  Returns ``(moved, cancelled)``: moved is the total
         taken out of from_bank's claims, of which cancelled was extinguished
         rather than transferred.  The caller applies the matching a3/l3
-        sheet updates.
+        sheet updates.  The banks always differ: ``add`` refuses self-loans,
+        and pooling pairs a bank in surplus with one short of its target.
         """
         if requested <= 0:
             return 0.0, 0.0
-        if from_bank == to_bank:
-            raise LedgerError("cannot reassign claims to their current holder")
         amounts, layout = self._amounts, self.layout
         held = self._by_lender[from_bank]
         on_self = to_bank << 2
@@ -478,6 +477,8 @@ def allocate_pooled_credit(banks: BankBalanceSheets, loans: InterbankLoanLedger,
             # each pair's share of the system gap, carried only if the pair trades
             share = np.outer(room / room.sum(), left / left.sum())
             grid += min(gap, room.sum()) * share * state.actual
+    # a borrower's matched shares can sum to an ulp above its need: left < 0,
+    # and that negative gap share can outweigh a tiny first-pass share
     if np.any(grid < 0):
         raise LedgerError("negative pooled allocation")
 

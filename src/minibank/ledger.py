@@ -1,15 +1,15 @@
 """Bank balance sheets, the customer book, and accounting identity checks.
 
 Sheets are stored as one array per item with one entry per bank, which keeps
-every period update a handful of vectorised operations.  Three identities
-must survive every phase: core assets equal core liabilities
-(a1 + a2 + a3 = l1 + l2 + l3), equity reserve equals equity provision
-(a4 = l4), and central-bank assistance equals the guarantee (a5 = l5).
+every period update a handful of vectorised operations.  Core assets must
+equal core liabilities (a1 + a2 + a3 = l1 + l2 + l3) after every phase.
+Equity reserve equals equity provision (a4 = l4) and central-bank assistance
+equals the guarantee (a5 = l5) by construction: each pair is one array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -46,23 +46,25 @@ class BankBalanceSheets:
     Assets: a1 currency reserves, a2 retail loans, a3 interbank lending,
     a4 equity reserve, a5 central-bank assistance.  Liabilities: l1 currency
     deposits, l2 loan deposits, l3 interbank borrowing, l4 equity provision
-    plus cumulated profit and loss, l5 central-bank guarantee.
+    plus cumulated profit and loss, l5 central-bank guarantee.  a4 and l4
+    read one array, ``equity``, and a5 and l5 another, ``guarantee``.
     """
 
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
-    a4: np.ndarray
-    a5: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
     l3: np.ndarray
-    l4: np.ndarray
-    l5: np.ndarray
+    equity: np.ndarray
+    guarantee: np.ndarray
+
+    a4 = l4 = property(lambda self: self.equity)
+    a5 = l5 = property(lambda self: self.guarantee)
 
     @classmethod
     def zeros(cls, n_banks: int) -> "BankBalanceSheets":
-        return cls(*(np.zeros(n_banks) for _ in ITEM_NAMES))
+        return cls(*(np.zeros(n_banks) for _ in fields(cls)))
 
     @property
     def n_banks(self) -> int:
@@ -126,8 +128,7 @@ def initialise(config, rng: np.random.Generator):
     banks = BankBalanceSheets.zeros(B)
     banks.l1 = book.bank_l1()
     banks.a1 = banks.l1.copy()
-    banks.a4 = np.full(B, config.A4_0 / B)
-    banks.l4 = banks.a4.copy()
+    banks.equity = np.full(B, config.A4_0 / B)
     return banks, book
 
 
@@ -187,14 +188,12 @@ def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
 
 
 def check_identities(banks: BankBalanceSheets, book: CustomerBook) -> float:
-    """Check the three balance-sheet identities and the two customer-book
-    sum constraints to ``TOL``, then that no customer's cash and no bank's
-    loan deposits are negative, with no tolerance; returns the worst
-    relative residual and raises IdentityError on a broken rule."""
+    """Check the core balance-sheet identity and the two customer-book sum
+    constraints to ``TOL``, then that no customer's cash and no bank's loan
+    deposits are negative, with no tolerance; returns the worst relative
+    residual and raises IdentityError on a broken rule."""
     worst = worst_residual({
         "core": np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
-        "equity": np.abs(banks.a4 - banks.l4),
-        "guarantee": np.abs(banks.a5 - banks.l5),
         "book_l1": np.abs(book.bank_l1() - banks.l1),
         "book_l2": np.abs(book.bank_l2() - banks.l2),
     }, banks, IdentityError)

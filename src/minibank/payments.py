@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IdentityError
 from .interbank import InterbankLoanLedger, LoanKind
-from .ledger import TOL, BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
+from .ledger import BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
 from .stochastics import row_loops
 
 
@@ -145,10 +145,10 @@ def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,
     volumes = gross[:, None] * np.vstack([block.copy() for block in blocks])
     net = volumes.sum(axis=0) - volumes.sum(axis=1)  # inflow minus outflow per bank
 
+    # rows sum to one and xi2 <= 1, so only rounding dust is clipped; a
+    # larger clip leaves a core residual, which the state check raises
     old_l2 = banks.l2
     new_l2 = old_l2 + net
-    if new_l2.min() < -TOL * max(1.0, float(old_l2.max())):
-        raise IdentityError("wire netting drove a bank's loan deposits negative")
     np.clip(new_l2, 0.0, None, out=new_l2)
 
     # Customer bookkeeping before the bank items, so the book stays the

@@ -1,8 +1,14 @@
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minibank
 from minibank import (
     ConfigError,
     LendingBehaviour,
@@ -77,6 +83,14 @@ class TestPresets:
             config_from_pairs(parse_config_text(f"seed = 1\npreset ={value}\n"))
 
 
+# The keys a test_out_of_range_values row sets besides its own, so that
+# only the rule it aims at refuses it.
+_OUT_OF_RANGE_CONTEXT = {
+    ("lambda", "0"): [("matching", "endogenous"), ("alpha", "1")],
+    ("A1_0", "1e-306"): [("A4_0", "1e-10")],
+}
+
+
 class TestKeyValueFormat:
     def test_round_trip_default(self):
         config = ScenarioConfig(seed=12)
@@ -121,6 +135,7 @@ class TestKeyValueFormat:
         ("A1_0", "4.45e-308"),
         ("A1_0", "1e-310"),
         ("A1_0", "1e-300"),          # A4_0 / A1_0 = 1e8 / 1e-300 above 1e300
+        ("A1_0", "1e-306"),          # with A4_0 = 1e-10 only A1_0 / C refuses it
         ("A4_0", "-1"),
         ("matching", "endogenous"),  # without alpha
         ("lambda", "0"),             # under endogenous matching with alpha = 1
@@ -137,11 +152,26 @@ class TestKeyValueFormat:
         ("seed", "-1"),              # RngStreams leaves the seed rule to validate
     ])
     def test_out_of_range_values(self, key, value):
-        endogenous = [("matching", "endogenous"), ("alpha", "1")] if key == "lambda" else []
+        context = _OUT_OF_RANGE_CONTEXT.get((key, value), [])
         named = "alpha" if key == "matching" else key  # the key the message blames
         rule = "must be finite" if "inf" in value or "nan" in value else ""
         with pytest.raises(ConfigError, match=f"^{named}: {rule}"):
-            config_from_pairs([("seed", "1"), *endogenous, (key, value)])
+            config_from_pairs([("seed", "1"), *context, (key, value)])
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("T", "ten", "expected an integer"),
+        ("phi", "high", "expected a number"),
+        ("theta", "0.1, 0.9", "expected 'value' or 'lower, peak, upper'"),
+        ("transfer_on_issue", "maybe", "expected true/false"),
+        ("matching", "random", "expected one of exogenous, endogenous"),
+    ])
+    def test_malformed_value(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}, got '{value}'$"):
+            config_from_pairs([("seed", "1"), (key, value)])
+
+    def test_line_without_equals_refused(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'phi 0.4'$"):
+            parse_config_text("seed = 1\nphi 0.4\n")
 
     def test_key_layout_bounds_banks_and_periods(self):
         def config(B, T):
@@ -230,6 +260,15 @@ class TestArtifacts:
 
 
 class TestCli:
+    def test_module_entry_point_exits_with_mains_status(self, tmp_path):
+        # `python -m minibank.cli` hands main's status to the shell
+        env = dict(os.environ, PYTHONPATH=str(Path(minibank.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "minibank.cli", "run", "--seed", "1",
+                               "--set", "T=0", "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr == "error: T: must be at least 1\n"
+
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out

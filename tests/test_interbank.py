@@ -146,6 +146,19 @@ class TestLedger:
         assert moved == 30.0
         assert loans.bank_sums()[0][0] == 0.0
 
+    def test_borrowing_moved_to_a_third_bank_is_caught(self):
+        # every lender sum still matches a3; only the borrower side shows it
+        loans = InterbankLoanLedger(3)
+        loans.add(0, 1, 1, LoanKind.WIRE, 10.0, W_A1)
+        banks = BankBalanceSheets.zeros(3)
+        banks.a3[0] = banks.l3[1] = 10.0
+        assert loans.check_consistency(banks) == 0.0
+        loans.reduce(_key(loans, 1, 0, 1, LoanKind.WIRE), 10.0)
+        loans.add(0, 2, 1, LoanKind.WIRE, 10.0, W_A1)
+        assert np.array_equal(loans.bank_sums()[0], banks.a3)
+        with pytest.raises(LedgerError, match=r"^ledger l3 residual 1\.000e\+01 at bank 2$"):
+            loans.check_consistency(banks)
+
     def test_sorted_keys_in_canonical_order(self):
         loans = InterbankLoanLedger(3)
         loans.add(0, 1, 2, LoanKind.ROLLOVER, 1.0, W_A1)
@@ -610,6 +623,21 @@ class TestClaimCountingAllocation:
         assert unmet.sum() == pytest.approx(125.0 - 100.0 + 2600.0 / 63.0)
         assert unmet[3] > unmet[2] > 0.0
         loans.check_consistency(banks)
+
+    def test_rounded_negative_allocation_raises(self):
+        # bank 2's matched shares, 0.7 and 7e-17, sum to an ulp above its
+        # need of 0.7, so what it is left short is -ulp and its gap share is
+        # negative; at lender 1, with room 100, that share outweighs the
+        # 7e-17 it lent.  Unchecked, the pair would silently not trade.
+        excess = np.array([1.0, 1e-16, 0.0, 0.0])
+        need = np.array([0.0, 0.0, 0.7, 5.0])
+        actual = np.zeros((4, 4), dtype=bool)
+        actual[:2, 2] = True
+        state = interbank.PoolingState(ReserveBase.BROAD, excess, need,
+                                       np.array([1.0, 100.0, 0.0, 0.0]), [W_A1] * 4, actual)
+        assert 0.7 + 0.7 * 1e-16 > 0.7
+        with pytest.raises(LedgerError, match="^negative pooled allocation$"):
+            allocate_pooled_credit(BankBalanceSheets.zeros(4), InterbankLoanLedger(4), state, 1)
 
 
 def test_no_interbank_credit_without_wires_and_pooling():

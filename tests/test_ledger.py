@@ -120,10 +120,11 @@ class TestIdentities:
         with pytest.raises(IdentityError, match=r"^core residual 3\.333e-01 at bank 0$"):
             check_identities(banks, book)
 
-    def test_book_sum_violation_detected(self):
+    @pytest.mark.parametrize("item", ["l1", "l2"])
+    def test_book_sum_violation_detected(self, item):
         banks, book = _init(seed=5, B=2, C=10)
-        book.l1[0] += 7.0
-        with pytest.raises(IdentityError, match="^book_l1 residual"):
+        getattr(book, item)[0] += 7.0
+        with pytest.raises(IdentityError, match=f"^book_{item} residual"):
             check_identities(banks, book)
 
     def test_nan_residual_raises(self):

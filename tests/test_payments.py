@@ -208,6 +208,18 @@ class TestWireTransfers:
         check_identities(banks, book)
         loans.check_consistency(banks)
 
+    def test_overdrawing_block_leaves_a_core_residual(self):
+        # every drawn wire matrix is row stochastic; this block's first row
+        # sums to two, so bank 0 wires twice its stock.  Clipping its loan
+        # deposits at zero leaves the overdraft as a core residual.
+        banks, book = self._state([1000.0, 0.0])
+        block = np.array([[0.0, 2.0], [1.0, 0.0]])
+        settle_wire_transfers(banks, book, block, 1.0, InterbankLoanLedger(2),
+                              ReserveBase.BROAD, 1)
+        assert banks.l2[0] == 0.0
+        with pytest.raises(IdentityError, match=r"^core residual 3\.333e-01 at bank 0$"):
+            check_identities(banks, book)
+
     def test_symmetric_flows_net_to_nothing(self):
         banks, book = self._state([500.0, 500.0])
         loans = InterbankLoanLedger(2)
