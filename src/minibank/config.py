@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 from .bank_credit import LendingBehaviour
 from .errors import ConfigError
@@ -67,7 +68,10 @@ class ScenarioConfig:
             raise ConfigError(f"{key}: {message}")
 
         for key, name in _FIELD_NAMES.items():
-            value = getattr(self, name)
+            value, kind = getattr(self, name), _FIELD_TYPES[name]
+            accepted = tuple(_NUMBERS.get(part, part) for part in get_args(kind) or (kind,))
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                bad(key, f"expected {getattr(kind, '__name__', kind)}, got {value!r}")
             law = isinstance(value, TriangularParams)
             bounds = (value.lower, value.peak, value.upper) if law else (value,)
             if not all(math.isfinite(v) for v in bounds if isinstance(v, float)):
@@ -213,6 +217,10 @@ def get_preset(name: str, seed: int, **overrides) -> ScenarioConfig:
 _FIELD_NAMES = {("lambda" if f.name == "lam" else f.name): f.name
                 for f in dataclasses.fields(ScenarioConfig)}
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
+
+# What validate accepts for a number field: NumPy's integers fit an int
+# field and any int fits a float field; a bool fits only a bool field.
+_NUMBERS = {int: numbers.Integral, float: (numbers.Integral, float)}
 
 
 def _parse_int(key: str, raw: str) -> int:

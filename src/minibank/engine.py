@@ -69,11 +69,23 @@ class SimulationState:
     banks: BankBalanceSheets
     book: CustomerBook
     loans: InterbankLoanLedger
+    path: CashPath
 
 
-def init_state(config: ScenarioConfig, streams: RngStreams) -> SimulationState:
-    banks, book = initialise(config, streams.stream("assignment", 0))
-    return SimulationState(0, banks, book, InterbankLoanLedger(config.B))
+def init_state(config: ScenarioConfig, streams: RngStreams,
+               path: CashPath | None = None) -> SimulationState:
+    """The opening state of a run on ``path``, its own unless a sweep shares
+    one.  A fresh path takes the run's key and opening cash; a path drawn
+    under another key is refused with IdentityError."""
+    banks, book, cash = initialise(config, streams.stream("assignment", 0))
+    path = CashPath() if path is None else path
+    key = (config.seed, config.B, config.C, config.A1_0, config.xi1, config.fixed_payment_matrix)
+    if path.key is None:
+        path.key, path.cash = key, cash
+    elif path.key != key:
+        raise IdentityError(f"cash path drawn under (seed, B, C, A1_0, xi1, "
+                            f"fixed_payment_matrix) = {path.key}, not this run's {key}")
+    return SimulationState(0, banks, book, InterbankLoanLedger(config.B), path)
 
 
 def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> None:
@@ -91,15 +103,13 @@ def _check_state(state: SimulationState, config: ScenarioConfig, where: str) -> 
 
 
 def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStreams,
-               check: str = "period", path: CashPath | None = None,
-               ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+               check: str = "period") -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """Advance the state by one period; return its (B, 10) sheets, (B,)
     profit and stats.
 
     ``check``, one of CHECK_CADENCES, controls how often the identity,
     currency and ledger checks run: after every phase, or else once at the
-    end of the period.  A ``path`` goes to the cash phase, which replays
-    the period from it when it holds the period and records it otherwise.
+    end of the period.
     """
     t = state.period + 1
     banks, book, loans = state.banks, state.book, state.loans
@@ -119,7 +129,7 @@ def run_period(state: SimulationState, config: ScenarioConfig, streams: RngStrea
     key = 0 if config.fixed_payment_matrix else t
     cash_gross = step(settle_cash_payments, banks, book,
                       random_row_stochastic(config.C, streams.stream("cash_matrix", key)),
-                      config.xi1, path, t)
+                      config.xi1, state.path, t)
     wire_stats = step(settle_wire_transfers, banks, book,
                       random_row_stochastic(config.B, streams.stream("wire_matrix", key)),
                       config.xi2, loans, config.reserve_base, t)
@@ -199,30 +209,21 @@ def run_scenario(config: ScenarioConfig, check: str = "period",
                  path: CashPath | None = None) -> SimulationTrace:
     """Run one seeded scenario end to end and return its trace.
 
-    A ``path`` shares the cash phases with other runs of the seed (see
-    ``settle_cash_payments``): the first run records them, later ones
-    replay them.  A path drawn under another seed, ``fixed_payment_matrix``
-    or ``xi1`` is refused with IdentityError.
+    A ``path`` shares the cash phases with other runs of the seed
+    (``init_state``): a period it holds is read back, not drawn.
     """
     config.validate()
     if check not in CHECK_CADENCES:
         raise ConfigError(f"check: expected {'/'.join(CHECK_CADENCES)}, got {check!r}")
-    if path is not None:
-        source = (config.seed, config.fixed_payment_matrix, config.xi1)
-        if path.source not in (None, source):
-            raise IdentityError(f"cash path drawn under (seed, fixed_payment_matrix, xi1) = "
-                                f"{path.source}, not this run's {source}")
-        path.source = source
     streams = RngStreams(config.seed)
-    state = init_state(config, streams)
+    state = init_state(config, streams, path)
     _check_state(state, config, "initial state")
     initial = state.banks.snapshot()
     sheets = np.empty((config.T, config.B, len(ITEM_NAMES)))
     profit = np.empty((config.T, config.B))
     stats = {name: np.empty(config.T) for name in STAT_COLUMNS}
     for t in range(config.T):
-        sheets[t], profit[t], period_stats = run_period(state, config, streams, check=check,
-                                                        path=path)
+        sheets[t], profit[t], period_stats = run_period(state, config, streams, check=check)
         for name in STAT_COLUMNS:
             stats[name][t] = period_stats[name]
     aggregates = {name: sheets[:, :, i].sum(axis=1) for i, name in enumerate(ITEM_NAMES)}
@@ -352,13 +353,10 @@ def compare_phis(config: ScenarioConfig, phis=(0.0, 0.4, 0.8), n_seeds: int = 30
     lending shocks are identical across phi values and differences isolate
     the pooling quality.
 
-    Each seed's cash phases are drawn once: the first phi's run records
-    them in the seed's ``CashPath`` and every later phi replays them bit
-    for bit, reading no cash block.  Phi does not reach the cash phase,
-    which reads only customer cash, xi1 and the seed's cash_matrix stream.
-    The guard: a replayed phase first checks that the run's cash is
-    byte-equal to the path's, and a path drawn under another seed, xi1 or
-    ``fixed_payment_matrix`` is refused.  The paths, (T + 1) * C floats per
+    Each seed's cash phases are drawn once: the first phi's run draws
+    them into the seed's ``CashPath`` and every later phi reads them back
+    bit for bit, reading no cash block.  Phi is not in the path's key, and
+    the cash phase reads nothing else.  The paths, T * B + C floats per
     seed, live until the sweep ends.
     """
     phis = tuple(float(phi) for phi in phis)

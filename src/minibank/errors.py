@@ -16,5 +16,5 @@ class LedgerError(SimulationError):
 class IdentityError(SimulationError):
     """An accounting rule broke: a balance-sheet identity or customer-book
     sum, currency conservation, non-negative customer cash and bank loan
-    deposits, the wire-netting tolerance, the guarantee cross-check, or a
-    replayed cash path that does not fit the run."""
+    deposits, or the guarantee cross-check; or a run was given a cash path
+    drawn under another key."""

@@ -80,23 +80,29 @@ class BankBalanceSheets:
 
 @dataclass
 class CustomerBook:
-    """Per-customer cash, per-bank loan deposits and the customer-to-bank map.
+    """Per-bank loan deposits and the customer-to-bank map.
 
     A bank's new loan deposits are split equally across its customers and
     every later change is pro rata, so all of a bank's customers hold one
     loan-deposit balance: ``l2`` stores it once per bank.  The map and its
     headcounts never change after ``initialise``, which gives every bank a
     customer, so phases divide by ``counts`` unchecked.  For every bank the
-    sum of its customers' l1 (l2) balances must equal the bank's l1 (l2).
+    sum of its customers' l2 balances must equal the bank's l2.  Customer
+    cash is not kept here: it lives in the run's ``CashPath``.
     """
 
     assignment: np.ndarray  # (C,) bank index per customer
     counts: np.ndarray      # (B,) customers per bank
-    l1: np.ndarray          # (C,) currency deposits
     l2: np.ndarray          # (B,) loan deposits held by each customer of the bank
 
-    def bank_l1(self) -> np.ndarray:
-        return np.bincount(self.assignment, weights=self.l1, minlength=self.counts.size)
+    def bank_l1(self, cash: np.ndarray) -> np.ndarray:
+        """Each bank's currency deposits, summed from its customers' (C,)
+        ``cash``; negative cash raises IdentityError (no tolerance)."""
+        customer = int(np.argmin(cash))
+        if cash[customer] < 0:
+            raise IdentityError(f"customer {customer} at bank {self.assignment[customer]} "
+                                f"holds negative cash {cash[customer]:.6g}")
+        return np.bincount(self.assignment, weights=cash, minlength=self.counts.size)
 
     def bank_l2(self) -> np.ndarray:
         return np.bincount(self.assignment, weights=self.l2[self.assignment],
@@ -104,8 +110,9 @@ class CustomerBook:
 
 
 def initialise(config, rng: np.random.Generator):
-    """Set up the opening state: equal customer cash endowments deposited at
-    randomly assigned banks, equal bank equity, and no credit of any kind.
+    """Return the opening sheets, book and (C,) customer cash: equal cash
+    endowments deposited at randomly assigned banks, equal bank equity, and
+    no credit of any kind.
 
     Each customer draws its bank uniformly from ``rng``.  A drawn map that
     leaves a bank without customers gives each such bank the last customer
@@ -119,17 +126,14 @@ def initialise(config, rng: np.random.Generator):
         largest = np.argmax(np.bincount(assignment, minlength=B))
         assignment[np.flatnonzero(assignment == largest)[-1]] = bank
 
-    book = CustomerBook(
-        assignment=assignment,
-        counts=np.bincount(assignment, minlength=B),
-        l1=np.full(C, config.A1_0 / C),
-        l2=np.zeros(B),
-    )
+    book = CustomerBook(assignment=assignment, counts=np.bincount(assignment, minlength=B),
+                        l2=np.zeros(B))
+    cash = np.full(C, config.A1_0 / C)
     banks = BankBalanceSheets.zeros(B)
-    banks.l1 = book.bank_l1()
+    banks.l1 = book.bank_l1(cash)
     banks.a1 = banks.l1.copy()
     banks.equity = np.full(B, config.A4_0 / B)
-    return banks, book
+    return banks, book, cash
 
 
 def reserve_components(banks: BankBalanceSheets, base: ReserveBase) -> np.ndarray:
@@ -188,19 +192,17 @@ def worst_residual(residuals: dict[str, np.ndarray], banks: BankBalanceSheets,
 
 
 def check_identities(banks: BankBalanceSheets, book: CustomerBook) -> float:
-    """Check the core balance-sheet identity and the two customer-book sum
-    constraints to ``TOL``, then that no customer's cash and no bank's loan
-    deposits are negative, with no tolerance; returns the worst relative
-    residual and raises IdentityError on a broken rule."""
+    """Check the core balance-sheet identity and the customer book's l2 sum
+    to ``TOL``, then that no bank's loan deposits are negative, with no
+    tolerance; returns the worst relative residual and raises IdentityError
+    on a broken rule.  Customer cash has no rule here: only ``initialise``
+    and the cash phase write ``banks.l1``, as ``CustomerBook.bank_l1`` of
+    cash it has checked, and the cash phase writes the path's array."""
     worst = worst_residual({
         "core": np.abs(banks.a1 + banks.a2 + banks.a3 - (banks.l1 + banks.l2 + banks.l3)),
-        "book_l1": np.abs(book.bank_l1() - banks.l1),
         "book_l2": np.abs(book.bank_l2() - banks.l2),
     }, banks, IdentityError)
-    customer, bank = int(np.argmin(book.l1)), int(np.argmin(banks.l2))
-    if book.l1[customer] < 0:
-        raise IdentityError(f"customer {customer} at bank {book.assignment[customer]} "
-                            f"holds negative cash {book.l1[customer]:.6g}")
+    bank = int(np.argmin(banks.l2))
     if banks.l2[bank] < 0:
         raise IdentityError(f"negative loan deposits {banks.l2[bank]:.6g} at bank {bank}")
     return worst

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityError
 from .interbank import InterbankLoanLedger, LoanKind
 from .ledger import BankBalanceSheets, CustomerBook, ReserveBase, reserve_weights
 from .stochastics import row_loops
@@ -28,30 +27,27 @@ class WireTransferStats:
 
 @dataclass
 class CashPath:
-    """One seed's customer cash through its cash phases, recorded by the
-    first run of the seed and replayed by every later one.
+    """One seed's customer cash payments, drawn once and read back by every
+    run of the seed.
 
-    ``cash[0]`` is the opening cash and ``cash[t]`` the cash after period
-    t's phase, which paid ``gross[t - 1]``; every array is read-only.
-    ``source`` names the phase's inputs that the cash does not show: the
-    seed whose cash_matrix stream drew it, whether that matrix is fixed,
-    and xi1.  The engine sets it on the first run and refuses a run that
-    differs.
+    ``cash`` is the customers' cash after the last period drawn (the opening
+    endowments before the first); ``l1[t - 1]``, read-only, is every bank's
+    currency deposits after period t's cash phase, which paid
+    ``gross[t - 1]``.  ``key``, ``(seed, B, C, A1_0, xi1,
+    fixed_payment_matrix)``, fixes the cash_matrix stream, the map of
+    customers to banks, the opening cash and xi1; ``init_state`` sets it on
+    a fresh path and refuses a run under another.
     """
 
-    source: tuple | None = None
-    cash: list[np.ndarray] = field(default_factory=list)
+    key: tuple | None = None
+    cash: np.ndarray | None = None
+    l1: list[np.ndarray] = field(default_factory=list)
     gross: list[float] = field(default_factory=list)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
-                         blocks: Iterable[np.ndarray], xi1: float,
-                         path: CashPath | None = None, period: int = 1) -> float:
+                         blocks: Iterable[np.ndarray], xi1: float, path: CashPath,
+                         period: int) -> float:
     """Let every customer pay out a fraction xi1 of its cash deposit along
     its row of the (C, C) cash matrix, given as row blocks top to bottom,
     and return the gross volume paid.
@@ -59,9 +55,16 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     The matrix is row stochastic; a diagonal entry is a self-payment and
     nets to nothing.  Each bank's currency reserves and currency deposits
     move together by its customers' net flow, so total currency in the
-    system is unchanged and no customer balance can go negative (payments
-    are a fraction of the existing deposit).  At xi1 = 0 no block is read,
-    so a lazily drawn matrix is never drawn.
+    system is unchanged.  At xi1 = 0 no block is read, so a lazily drawn
+    matrix is never drawn.
+
+    The customers' cash lives only in the ``path``.  A period it does not
+    hold yet is drawn from the blocks and appended, once
+    ``CustomerBook.bank_l1`` has refused negative customer cash; a period
+    it holds is read back, reading no block.  Either way ``banks.l1``
+    becomes the path's read-only array.  This is exact: the phase reads
+    only the path's cash, xi1 and the blocks, which the path's key fixes,
+    and only this phase writes ``banks.l1`` after the opening state.
 
     The inflow, sum_i outflow[i] * matrix[i, :], runs in a fixed order:
     rows added one by one within a block, block sums added in block order.
@@ -69,31 +72,11 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
     multiply-add, SIMD width, BLAS kernel or thread count can change a bit,
     as each can for ``matrix.T @ outflow``.  Each block is scaled in place,
     so the blocks are consumed: pass fresh ones on every call.
-
-    With a ``path``, the phase of ``period`` replays the cash the path
-    holds for it and reads no block; a period the path does not hold yet
-    is drawn and recorded.  Replay is exact: only this phase writes
-    customer cash, and it reads only that cash, xi1 and the cash_matrix
-    stream, so every run of one seed, stream and xi1 computes the same
-    bits.  The guard: the run's cash before the phase must be byte-equal
-    to the path's (the opening cash in period 1, the path's own cash after
-    the previous period later), or the phase raises IdentityError.  The
-    recorded arrays are read-only, so a write to customer cash in place
-    fails instead of reaching later runs.
     """
     if xi1 == 0.0:
         return 0.0
-    if path is not None:
-        if not path.cash:
-            path.cash.append(_read_only(book.l1))
-        if book.l1.tobytes() != path.cash[period - 1].tobytes():
-            raise IdentityError(f"period {period}: customer cash before the cash phase "
-                                "differs from the cash path's")
-    if path is not None and period < len(path.cash):
-        book.l1 = path.cash[period]
-        gross = path.gross[period - 1]
-    else:
-        outflow = xi1 * book.l1
+    if period > len(path.l1):
+        outflow = xi1 * path.cash
         block_sum = np.empty(outflow.size)
         inflow = np.zeros(outflow.size)
         lo = 0
@@ -107,15 +90,16 @@ def settle_cash_payments(banks: BankBalanceSheets, book: CustomerBook,
                 np.add.reduce(block, axis=0, out=block_sum)
             inflow += block_sum
             lo = hi
-        book.l1 = book.l1 - outflow + inflow
-        gross = float(outflow.sum())
-        if path is not None:
-            path.cash.append(_read_only(book.l1))
-            path.gross.append(gross)
-    new_bank_l1 = book.bank_l1()
-    banks.a1 += new_bank_l1 - banks.l1  # banks.l1 is book.bank_l1() from before
-    banks.l1 = new_bank_l1
-    return gross
+        cash = path.cash - outflow + inflow
+        l1 = book.bank_l1(cash)
+        l1.flags.writeable = False
+        path.cash = cash
+        path.l1.append(l1)
+        path.gross.append(float(outflow.sum()))
+    new_l1 = path.l1[period - 1]
+    banks.a1 += new_l1 - banks.l1
+    banks.l1 = new_l1
+    return path.gross[period - 1]
 
 
 def settle_wire_transfers(banks: BankBalanceSheets, book: CustomerBook,

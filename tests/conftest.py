@@ -19,9 +19,11 @@ def consistent_state(l1, l2, assignment, n_banks):
     """Banks and customer book built from per-customer balances.
 
     The customers of one bank must hold the same loan deposits, which the
-    book stores once per bank (0 for a bank without customers).  Every bank
-    starts with a1 = l1 and a2 = l2 (cash fully reserved, loans
-    self-originated), so all accounting identities hold exactly.
+    book stores once per bank (0 for a bank without customers).  The
+    customers' cash ``l1`` only sets the banks' l1: a cash phase reads it
+    from a ``CashPath``.  Every bank starts with a1 = l1 and a2 = l2 (cash
+    fully reserved, loans self-originated), so all accounting identities
+    hold exactly.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     l2 = np.asarray(l2, dtype=float)
@@ -31,11 +33,10 @@ def consistent_state(l1, l2, assignment, n_banks):
     book = CustomerBook(
         assignment=assignment,
         counts=np.bincount(assignment, minlength=n_banks),
-        l1=np.asarray(l1, dtype=float),
         l2=bank_l2,
     )
     banks = BankBalanceSheets.zeros(n_banks)
-    banks.l1 = book.bank_l1()
+    banks.l1 = book.bank_l1(np.asarray(l1, dtype=float))
     banks.a1 = banks.l1.copy()
     banks.l2 = book.bank_l2()
     banks.a2 = banks.l2.copy()

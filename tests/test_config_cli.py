@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -168,6 +169,22 @@ class TestKeyValueFormat:
     def test_malformed_value(self, key, value, message):
         with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}, got '{value}'$"):
             config_from_pairs([("seed", "1"), (key, value)])
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("matching", "exogenous", "MatchingMode"),  # the enum's value, not the enum
+        ("transfer_on_issue", "false", "bool"),     # a non-empty str is truthy
+        ("T", 5.0, "int"),
+        ("gamma_TR_noise", 0.0, "TriangularParams"),
+    ])
+    def test_wrong_type_refused(self, key, value, expected):
+        # the text parser builds each type; a config built in Python is
+        # checked against the field annotations by validate
+        with pytest.raises(ConfigError, match=f"^{key}: expected {expected}, got {value!r}$"):
+            ScenarioConfig(seed=1, **{key: value}).validate()
+
+    def test_numpy_numbers_accepted(self):
+        config = ScenarioConfig(seed=np.int64(3), T=np.int32(4), phi=np.float64(0.4)).validate()
+        assert run_scenario(dataclasses.replace(config, B=4, C=40)).n_periods == 4
 
     def test_line_without_equals_refused(self):
         with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'phi 0.4'$"):

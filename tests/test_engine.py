@@ -44,7 +44,7 @@ def _small(seed=1, **kw):
     return ScenarioConfig(seed=seed, **defaults)
 
 
-def _run_with_plant(monkeypatch, phase, plant, check="phase"):
+def _run_with_plant(monkeypatch, phase, plant):
     """Run period 1 of a small config with ``plant(state)`` applied right
     after ``phase``."""
     config = _small(seed=12)
@@ -59,7 +59,7 @@ def _run_with_plant(monkeypatch, phase, plant, check="phase"):
         return result
 
     monkeypatch.setattr(engine, phase, plant_after)
-    run_period(state, config, streams, check=check)
+    run_period(state, config, streams, check="phase")
 
 
 def _frozen_config(seed=5, T=10):
@@ -104,7 +104,6 @@ class TestRunScenario:
         state = init_state(config, streams)
         for _ in range(config.T):
             run_period(state, config, streams, check="phase")
-        assert state.book.l1.shape == (80,)
         assert state.book.l2.shape == state.book.counts.shape == (4,)
         assert state.book.l2.min() > 0.0
         assert state.book.bank_l2() == pytest.approx(state.banks.l2, rel=1e-12)
@@ -123,16 +122,14 @@ class TestRunScenario:
         run_scenario(_small(seed=11), check="phase")
 
     def test_phase_checks_catch_created_currency(self):
-        # currency and deposits grow together at one bank and its customer,
-        # so every per-bank identity still holds; only conservation fails
+        # currency and deposits grow together at one bank, so every per-bank
+        # identity still holds; only conservation fails
         config = _small(seed=12)
         streams = RngStreams(config.seed)
         state = init_state(config, streams)
-        bank = state.book.assignment[0]
         extra = 1e-6 * config.A1_0
-        state.banks.a1[bank] += extra
-        state.banks.l1[bank] += extra
-        state.book.l1[0] += extra
+        state.banks.a1[1] += extra
+        state.banks.l1[1] += extra
         with pytest.raises(IdentityError, match="currency"):
             run_period(state, config, streams, check="phase")
 
@@ -158,23 +155,26 @@ class TestRunScenario:
         with pytest.raises(LedgerError, match=rf"^period 1, after {phase}: "):
             _run_with_plant(monkeypatch, phase, plant)
 
-    @pytest.mark.parametrize("check,where", [
-        ("phase", "period 1, after repay_customer_loans"),
-        ("period", "period 1"),
-    ], ids=["phase", "period"])
-    def test_negative_customer_cash_is_caught(self, monkeypatch, check, where):
-        # cash moves between two customers of one bank, so every bank total
-        # still holds; only the sign rule sees the overdrawn customer
-        def overdraw(state):
-            book = state.book
-            first, second = np.flatnonzero(book.assignment == 1)[:2]
-            amount = book.l1[first] + 1.0
-            book.l1[first] -= amount
-            book.l1[second] += amount
-
-        with pytest.raises(IdentityError, match=rf"^{where}: customer \d+ at bank 1 "
-                                                r"holds negative cash -1$"):
-            _run_with_plant(monkeypatch, "repay_customer_loans", overdraw, check)
+    @pytest.mark.parametrize("check", ["phase", "period"])
+    def test_negative_customer_cash_is_caught(self, monkeypatch, check):
+        # the cash phase is fed a matrix whose rows still sum to one, but one
+        # customer of bank 1 pays itself -19 times its outflow and another
+        # customer of bank 1 twenty times it: the first ends at minus its
+        # opening cash while every bank total holds.  The sign rule runs
+        # where cash is drawn, at any check cadence.
+        config = _small(seed=12)
+        streams = RngStreams(config.seed)
+        state = init_state(config, streams)
+        first, second = np.flatnonzero(state.book.assignment == 1)[:2]
+        matrix = np.eye(config.C)
+        matrix[first, first], matrix[first, second] = -19.0, 20.0
+        drawn = engine.random_row_stochastic
+        monkeypatch.setattr(engine, "random_row_stochastic",
+                            lambda n, rng: [matrix] if n == config.C else drawn(n, rng))
+        with pytest.raises(IdentityError, match=rf"^customer {first} at bank 1 "
+                                                r"holds negative cash -1\.25e\+07$"):
+            run_period(state, config, streams, check=check)
+        assert state.path.l1 == []
 
     def test_negative_loan_deposits_are_caught(self, monkeypatch):
         # retail loans and loan deposits fall together, so the core identity
@@ -255,11 +255,14 @@ class TestCashPath:
                 for name in want:
                     assert got[name].tobytes() == want[name].tobytes(), (phi, field, name)
 
+    # every key of the path; B and C set the customer-to-bank map
     @pytest.mark.parametrize("change,message", [
         ({"seed": 2}, "cash path drawn under"),
         ({"xi1": 0.3}, "cash path drawn under"),
-        ({"C": 131}, "^period 1: customer cash before the cash phase"),
-        ({"A1_0": 2e9}, "^period 1: customer cash before the cash phase"),
+        ({"C": 131}, "cash path drawn under"),
+        ({"A1_0": 2e9}, "cash path drawn under"),
+        ({"B": 5}, "cash path drawn under"),
+        ({"fixed_payment_matrix": True}, "cash path drawn under"),
     ])
     def test_a_path_of_other_inputs_is_refused(self, change, message):
         config = _small(seed=1, C=130, T=3)
@@ -269,17 +272,34 @@ class TestCashPath:
             run_scenario(dataclasses.replace(config, **change), path=path)
 
     def test_recorded_cash_is_read_only(self):
+        # the cash phase is the only writer of banks.l1, and it writes the
+        # path's array, so no run can hold customer cash of its own
         config = _small(seed=1, T=2)
         path = CashPath()
         run_scenario(config, path=path)
-        assert len(path.cash) == config.T + 1
-        assert not any(cash.flags.writeable for cash in path.cash)
+        assert len(path.l1) == config.T
+        assert not any(l1.flags.writeable for l1 in path.l1)
         streams = RngStreams(config.seed)
-        state = init_state(config, streams)
-        run_period(state, config, streams, path=path)
-        assert state.book.l1 is path.cash[1]
+        state = init_state(config, streams, path)
+        run_period(state, config, streams)
+        assert state.banks.l1 is path.l1[0]
         with pytest.raises(ValueError, match="read-only"):
-            state.book.l1[0] += 1.0
+            state.banks.l1[0] += 1.0
+
+    def test_a_longer_run_extends_the_path(self):
+        config = _small(seed=1, C=130, T=5)
+        fresh = run_scenario(config)
+        path = CashPath()
+        run_scenario(dataclasses.replace(config, T=3), path=path)
+        extended = run_scenario(config, path=path)
+        assert extended.sheets.tobytes() == fresh.sheets.tobytes()
+        assert extended.profit.tobytes() == fresh.profit.tobytes()
+        for name in AGGREGATE_COLUMNS:
+            assert extended.aggregates[name].tobytes() == fresh.aggregates[name].tobytes()
+        # per period B floats, and the customers' cash once
+        arrays = list(_arrays(vars(path), set()))
+        assert sorted(array.shape for array in arrays) == [(config.B,)] * 5 + [(config.C,)]
+        assert not any(array.flags.writeable for array in arrays if array.shape == (config.B,))
 
 
 class TestEnsembles:

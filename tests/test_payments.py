@@ -21,17 +21,25 @@ from conftest import consistent_state
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _path(cash):
+    """A path that has drawn no period, whose customers hold ``cash``."""
+    return CashPath(cash=np.asarray(cash, dtype=float))
+
+
 def _three_customers():
-    return consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3, assignment=[0, 1, 1],
-                            n_banks=2)
+    cash = [60.0, 40.0, 20.0]
+    banks, book = consistent_state(l1=cash, l2=[0.0] * 3, assignment=[0, 1, 1], n_banks=2)
+    return banks, book, _path(cash)
 
 
 class TestCashPayments:
     def test_zero_scale_is_identity(self, two_banks_two_customers):
         banks, book = two_banks_two_customers
+        path = _path([100.0, 100.0])
         before = banks.snapshot()
-        assert settle_cash_payments(banks, book, [np.eye(2)], 0.0) == 0.0
+        assert settle_cash_payments(banks, book, [np.eye(2)], 0.0, path, 1) == 0.0
         assert np.array_equal(banks.snapshot(), before)
+        assert path.l1 == []
 
     def test_zero_scale_reads_no_block(self, two_banks_two_customers):
         # so a lazily drawn cash matrix is never drawn at xi1 = 0
@@ -40,74 +48,80 @@ class TestCashPayments:
             yield
 
         banks, book = two_banks_two_customers
-        assert settle_cash_payments(banks, book, blocks(), 0.0) == 0.0
+        assert settle_cash_payments(banks, book, blocks(), 0.0, _path([100.0, 100.0]), 1) == 0.0
 
     @staticmethod
     def _drawn_path():
-        """A path recorded over two periods, and the state it left."""
-        path = CashPath()
-        banks, book = _three_customers()
+        """A path drawn over two periods, and the sheets it left."""
+        banks, book, path = _three_customers()
         for t in (1, 2):
             blocks = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", t))
             settle_cash_payments(banks, book, blocks, 0.5, path, t)
-        return path, banks, book
+        return path, banks
 
     def test_replay_reads_no_block(self):
-        # a replayed phase takes its cash from the path, so a lazily drawn
-        # cash matrix is never drawn, and it moves the banks as the draw did
+        # a period the path holds is read back, so a lazily drawn cash matrix
+        # is never drawn, and it moves the banks as the draw did
         def blocks():
             raise AssertionError("a cash block was read on replay")
             yield
 
-        path, banks, book = self._drawn_path()
-        replay_banks, replay_book = _three_customers()
+        path, banks = self._drawn_path()
+        cash = path.cash
+        replay_banks, replay_book, _ = _three_customers()
         replayed = [settle_cash_payments(replay_banks, replay_book, blocks(), 0.5, path, t)
                     for t in (1, 2)]
         assert replayed == path.gross
-        assert replay_book.l1.tobytes() == book.l1.tobytes()
+        assert path.cash is cash and len(path.l1) == 2
         assert replay_banks.snapshot().tobytes() == banks.snapshot().tobytes()
+        assert replay_banks.l1 is path.l1[1]
 
-    def test_replay_refuses_cash_the_path_did_not_leave(self):
-        path, _, _ = self._drawn_path()
-        banks, book = _three_customers()
-        settle_cash_payments(banks, book, [], 0.5, path, 1)
-        book.l1 = book.l1[[0, 2, 1]]  # cash moved between bank 1's customers
-        with pytest.raises(IdentityError, match="^period 2: customer cash before"):
-            settle_cash_payments(banks, book, [], 0.5, path, 2)
+    def test_overdrawn_customer_is_refused(self):
+        # the block's rows still sum to one, but customer 1 pays itself -1
+        # times its outflow and customer 2 twice it: customer 1 ends at -40
+        # while both bank totals hold, so only the customer sign rule sees it
+        banks, book, path = _three_customers()
+        block = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 2.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(IdentityError, match="^customer 1 at bank 1 holds negative cash -40$"):
+            settle_cash_payments(banks, book, [block], 1.0, path, 1)
+        assert path.l1 == [] and path.cash.tolist() == [60.0, 40.0, 20.0]
 
     def test_two_customers_hand_case(self, two_banks_two_customers):
         # both customers pay everything to customer 1; customer 1's payment
         # is a self-payment and nets out
         banks, book = two_banks_two_customers
-        settle_cash_payments(banks, book, [np.array([[0.0, 1.0], [0.0, 1.0]])], 0.1)
-        assert book.l1[0] == pytest.approx(90.0)
-        assert book.l1[1] == pytest.approx(110.0)
+        path = _path([100.0, 100.0])
+        settle_cash_payments(banks, book, [np.array([[0.0, 1.0], [0.0, 1.0]])], 0.1, path, 1)
+        assert path.cash[0] == pytest.approx(90.0)
+        assert path.cash[1] == pytest.approx(110.0)
         assert banks.a1[0] == pytest.approx(90.0)
         assert banks.a1[1] == pytest.approx(110.0)
         assert np.array_equal(banks.a1, banks.l1)
         assert banks.a1.sum() == pytest.approx(200.0)
 
     def test_single_bank_nets_to_zero(self):
-        banks, book = consistent_state(l1=[60.0, 40.0, 20.0], l2=[0.0] * 3,
-                                       assignment=[0, 0, 0], n_banks=2)
+        cash = [60.0, 40.0, 20.0]
+        banks, book = consistent_state(l1=cash, l2=[0.0] * 3, assignment=[0, 0, 0], n_banks=2)
         blocks = random_row_stochastic(3, RngStreams(3).stream("cash_matrix", 1))
-        settle_cash_payments(banks, book, blocks, 0.5)
+        settle_cash_payments(banks, book, blocks, 0.5, _path(cash), 1)
         assert banks.a1[0] == pytest.approx(120.0)  # internal transfers only
         assert banks.a1[1] == 0.0
 
     def test_currency_conserved_and_identities_hold(self):
         rng = RngStreams(8)
+        cash = rng.stream("assignment").random(40) * 100
         banks, book = consistent_state(
-            l1=rng.stream("assignment").random(40) * 100,
+            l1=cash,
             l2=[0.0] * 40,
             assignment=rng.stream("assignment", 1).integers(0, 4, 40),
             n_banks=4,
         )
         total = banks.a1.sum()
+        path = _path(cash)
         blocks = random_row_stochastic(40, rng.stream("cash_matrix", 1))
-        settle_cash_payments(banks, book, blocks, 1.0)
+        settle_cash_payments(banks, book, blocks, 1.0, path, 1)
         assert banks.a1.sum() == pytest.approx(total, rel=1e-12)
-        assert book.l1.min() >= 0.0
+        assert path.cash.min() >= 0.0
         check_identities(banks, book)
 
 
@@ -138,9 +152,10 @@ class TestCashInflow:
                                        assignment=np.arange(n) % 2, n_banks=2)
         # at xi1 = 1 each customer pays out all of l1, so what it holds
         # afterwards is (l1 - l1) + inflow: the inflow's own bits
+        path = _path(outflow)
         blocks = random_row_stochastic(n, rng.stream("cash_matrix", 1))
-        settle_cash_payments(banks, book, blocks, 1.0)
-        inflow = book.l1
+        settle_cash_payments(banks, book, blocks, 1.0, path, 1)
+        inflow = path.cash
         matrix = np.concatenate(_blocks(n, rng.stream("cash_matrix", 1)))
         assert inflow.tobytes() == _row_block_inflow(matrix, outflow).tobytes()
         assert np.allclose(inflow, matrix.T @ outflow, rtol=1e-13, atol=0.0)
@@ -148,18 +163,21 @@ class TestCashInflow:
     def test_many_blocks_conserve_currency(self):
         rng = RngStreams(9)
         n = 1000
+        cash = rng.stream("assignment").random(n) * 100
         banks, book = consistent_state(
-            l1=rng.stream("assignment").random(n) * 100,
+            l1=cash,
             l2=[0.0] * n,
             assignment=rng.stream("assignment", 1).integers(0, 10, n),
             n_banks=10,
         )
         total = banks.a1.sum()
-        for xi1 in (0.3, 1.0):  # the blocks are consumed: each call draws the same ones afresh
+        path = _path(cash)
+        # the blocks are consumed: each period draws the same ones afresh
+        for period, xi1 in enumerate((0.3, 1.0), start=1):
             blocks = random_row_stochastic(n, rng.stream("cash_matrix", 1))
-            settle_cash_payments(banks, book, blocks, xi1)
+            settle_cash_payments(banks, book, blocks, xi1, path, period)
             assert abs(banks.a1.sum() - total) <= 1e-9 * total
-            assert book.l1.min() >= 0.0
+            assert path.cash.min() >= 0.0
             check_identities(banks, book)
 
 
